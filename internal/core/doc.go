@@ -24,9 +24,10 @@
 //
 // The scheduler is incremental: redistribution passes early-out when no
 // slot, queue, or capacity state changed since the last completed pass (and
-// no blocking rescale gap has expired), backlog drains are skipped when the
-// free-plus-freeable budget cannot place even the smallest waiting job, and
-// priority/gap comparisons run on cached integer keys. The early-outs are
+// no blocking rescale gap has expired), backlog drains pop the queue lazily
+// and stop once no waiting job can place, skipping jobs that need at least
+// as many slots as one that just failed, and priority/gap comparisons run
+// on cached integer keys. The early-outs are
 // decision-transparent — Config.FullRedistribute disables them, and the
 // equivalence tests pin incremental ≡ full across policies and workloads.
 // docs/ARCHITECTURE.md lists the invariants.

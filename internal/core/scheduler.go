@@ -124,11 +124,12 @@ type Config struct {
 	EnableLog bool
 	// FullRedistribute disables the incremental-scheduling early-outs:
 	// every redistribute runs the full Figure 3 pass and every Reschedule
-	// drains the whole queue, exactly like the pre-incremental scheduler.
-	// The early-outs are provably decision-transparent (the equivalence
-	// tests pin incremental ≡ full across policies and workloads), so
-	// this knob exists for those audits and for debugging, not for
-	// production use.
+	// re-places every waiting job through Figure 2, with no drain stop and
+	// no infeasible-need frontier, exactly like the pre-incremental
+	// scheduler. The early-outs are provably decision-transparent (the
+	// equivalence tests pin incremental ≡ full across policies and
+	// workloads), so this knob exists for those audits and for debugging,
+	// not for production use.
 	FullRedistribute bool
 }
 
@@ -144,10 +145,13 @@ type Config struct {
 //     a scan of the running set.
 //   - runMinSum = Σ running policy-minimums, maintained by
 //     insertRunning/removeRunning.
-//   - minNeed is a conservative (never above the true value) bound on the
-//     smallest slot count any waiting job needs; it only ever under-shoots,
-//     so gates that compare budgets against it skip work but never skip a
-//     placeable job.
+//   - the queue counts its jobs per slot need exactly, so queue.minNeed is
+//     the smallest slot count any waiting job needs.
+//   - acts counts start, shrink, expand and preempt attempts, successful
+//     or not. A re-placement that fails with acts unchanged left the state
+//     as it found it, which lets a Reschedule drain settle every later job
+//     needing at least as many slots without re-running Figure 2 (see
+//     rescheduleQueue).
 //   - clean means the last redistribute ran to completion and no slot,
 //     queue, or capacity state changed since; cleanUntil is the earliest
 //     rescale-gap expiry that could unblock an expansion the pass skipped.
@@ -170,11 +174,6 @@ type Scheduler struct {
 
 	running []*Job
 	queue   jobQueue
-	// minNeed is a conservative lower bound (never above the true value) on
-	// the smallest slot count any waiting job needs to start, maxSlotNeed
-	// when the queue is empty. redistribute uses it to skip scanning
-	// backlogs that cannot possibly place a job.
-	minNeed int
 	free    int
 	// runMinSum is the sum of policy-minimum replicas over the running
 	// set, maintained incrementally so maxFreeable is O(1).
@@ -184,6 +183,10 @@ type Scheduler struct {
 	// struct comment. cleanUntilNs is Unix nanoseconds, 0 = no time bound.
 	clean        bool
 	cleanUntilNs int64
+
+	// acts counts start/shrink/expand/preempt attempts; see the struct
+	// comment.
+	acts int
 
 	log logRing
 
@@ -195,9 +198,8 @@ type Scheduler struct {
 
 	// Scratch buffers reused across scheduling passes so the hot path
 	// allocates nothing per event.
-	runScratch  []*Job
-	popScratch  []*Job
-	needScratch []int
+	runScratch []*Job
+	popScratch []*Job
 }
 
 // NewScheduler creates a scheduler over an empty cluster with the given
@@ -213,8 +215,7 @@ func NewScheduler(cfg Config, act Actuator, now func() time.Time) (*Scheduler, e
 		// Moldable = elastic that never rescales (paper §4.3.2).
 		cfg.RescaleGap = time.Duration(math.MaxInt64)
 	}
-	s := &Scheduler{cfg: cfg, act: act, now: now, free: cfg.Capacity, minNeed: maxSlotNeed,
-		gapNs: int64(cfg.RescaleGap)}
+	s := &Scheduler{cfg: cfg, act: act, now: now, free: cfg.Capacity, gapNs: int64(cfg.RescaleGap)}
 	s.queue.s = s
 	return s, nil
 }
@@ -409,6 +410,7 @@ func (s *Scheduler) bounds(j *Job) (minR, maxR int) {
 
 // start launches j with the given replica count and updates accounting.
 func (s *Scheduler) start(j *Job, replicas int) bool {
+	s.acts++
 	if err := s.act.StartJob(j, replicas); err != nil {
 		return false
 	}
@@ -427,6 +429,7 @@ func (s *Scheduler) start(j *Job, replicas int) bool {
 
 // shrink rescales a running job down and updates accounting.
 func (s *Scheduler) shrink(j *Job, to int) bool {
+	s.acts++
 	if !s.costBenefitOK(j, to) {
 		return false
 	}
@@ -445,6 +448,7 @@ func (s *Scheduler) shrink(j *Job, to int) bool {
 
 // expand rescales a running job up and updates accounting.
 func (s *Scheduler) expand(j *Job, to int) bool {
+	s.acts++
 	if !s.costBenefitOK(j, to) {
 		return false
 	}
@@ -461,13 +465,14 @@ func (s *Scheduler) expand(j *Job, to int) bool {
 	return true
 }
 
-// enqueue places j on the internal priority queue.
+// enqueue places j on the internal priority queue. A checkpoint-preempted
+// job keeps StatePreempted: it still resumes from its checkpoint, and it
+// does not age while it waits.
 func (s *Scheduler) enqueue(j *Job) {
-	j.State = StateQueued
-	s.queue.push(j)
-	if need := s.jobNeed(j); need < s.minNeed {
-		s.minNeed = need
+	if j.State != StatePreempted {
+		j.State = StateQueued
 	}
+	s.queue.push(j)
 	s.dirty()
 	s.record(DecisionEnqueue, j)
 }
@@ -510,10 +515,6 @@ func (s *Scheduler) Submit(j *Job) error {
 // completed job is an error and the scheduler is left untouched. On success
 // the job's state becomes StateWithdrawn and the scheduler drops every
 // reference to it.
-//
-// minNeed is deliberately left as-is: it is a conservative lower bound
-// (never above the true value), so a stale-low value after removing the
-// smallest queued job costs at most one redundant feasibility walk.
 func (s *Scheduler) Withdraw(j *Job) error {
 	if j.State != StateQueued && j.State != StatePreempted {
 		return fmt.Errorf("core: withdraw %s: state %v, want Queued or Preempted", j.ID, j.State)
@@ -644,6 +645,7 @@ func (s *Scheduler) tryPreempt(job *Job, minR, overhead int) bool {
 		if s.effPriority(j) >= s.effPriority(job) {
 			break
 		}
+		s.acts++
 		if err := s.act.PreemptJob(j); err != nil {
 			continue
 		}
@@ -654,9 +656,6 @@ func (s *Scheduler) tryPreempt(job *Job, minR, overhead int) bool {
 		j.lastActionNs = s.tnowNs
 		s.removeRunning(j)
 		s.queue.push(j)
-		if need := s.jobNeed(j); need < s.minNeed {
-			s.minNeed = need
-		}
 		s.record(DecisionPreempt, j)
 	}
 	return s.free >= minR+overhead
@@ -697,62 +696,85 @@ func (s *Scheduler) Kick() {
 // slots. Drivers call this when a rescale gap expires — the simulator via a
 // timer event, the operator via its requeue-after reconcile loop.
 //
-// Once no remaining waiting job could start even if every running job were
-// shrunk to its minimum (or preempted outright), the rest of the backlog is
-// re-queued wholesale instead of being re-submitted one by one — a deep
-// backlog costs one sort, not len(queue) placement passes. When even the
-// smallest waiting requirement (minNeed) exceeds that bound the drain is
-// skipped outright, so a saturated cluster pays O(1) per kick rather than a
-// backlog sort. With EnableLog both shortcuts are disabled so every
-// re-placement attempt stays in the audit trail.
+// The queue is popped lazily in priority order, and the drain stops as soon
+// as no job left in it can change anything: none could start even if every
+// running job were shrunk to its minimum or preempted, or each needs at
+// least the slots of a job that just failed to place without touching the
+// cluster. A kick costs O((k + p) log n) for k distinct slot needs tried and
+// p placements, not a sort plus a placement walk per waiting job; a
+// saturated cluster pays O(1). With EnableLog or FullRedistribute every
+// waiting job is re-placed, so each attempt stays in the audit trail.
 func (s *Scheduler) Reschedule() {
 	s.refresh()
 	if s.queue.Len() > 0 {
-		skipDrain := !s.cfg.EnableLog && !s.cfg.FullRedistribute &&
-			s.free+s.maxFreeable() < s.minNeed
-		if !skipDrain {
-			s.rescheduleQueue()
-		}
+		s.rescheduleQueue()
 	}
 	s.redistribute()
 }
 
-// rescheduleQueue drains the wait queue in priority order and re-places each
-// job through the Figure 2 submission logic, bulk-requeueing the backlog
-// tail once no remaining job could possibly start.
+// rescheduleQueue pops the wait queue in priority order and re-places each
+// job through the Figure 2 submission logic. Jobs the drain queues again
+// (failed placements, preemption victims) are parked until it ends, so each
+// waiting job is tried at most once per kick.
+//
+// Outside EnableLog and FullRedistribute the drain settles jobs without
+// running submit. frontier is the smallest need whose re-placement failed
+// with acts unchanged, so the cluster as it stands could not place it. A
+// later pop has lower or equal priority, and each step of submit is monotone
+// in (priority ↓, need ↑): the free-slot start check; the free + maxFreeable
+// gate; the feasibility walk, which sums gap-eligible running jobs of
+// priority at most the job's; and tryPreempt's candidates, the running jobs
+// of strictly lower priority. So until acts moves, a job needing frontier or
+// more slots fails the same way without acting, and enqueue alone
+// reproduces its outcome. Once settled holds, the rest stay queued
+// untouched.
 func (s *Scheduler) rescheduleQueue() {
-	drained := s.queue.drainSorted()
-	s.minNeed = maxSlotNeed
-	if s.cfg.EnableLog {
-		for _, j := range drained {
-			s.submit(j)
+	if s.cfg.AgingRate > 0 {
+		// Pops must follow compare at this instant, and preempted jobs do
+		// not age: restore the heap invariant first.
+		s.queue.init()
+	}
+	gated := !s.cfg.EnableLog && !s.cfg.FullRedistribute
+	frontier := maxSlotNeed
+	if gated && s.settled(frontier) {
+		return // a saturated cluster's kick: O(1)
+	}
+	s.queue.park()
+	for s.queue.Len() > 0 && !(gated && s.settled(frontier)) {
+		j := s.queue.pop()
+		need := s.jobNeed(j)
+		if need >= frontier {
+			s.enqueue(j)
+			continue
 		}
-	} else {
-		// needs[i] = smallest slot requirement among drained[i:].
-		needs := s.needScratch[:0]
-		for range drained {
-			needs = append(needs, 0)
-		}
-		s.needScratch = needs
-		for i := len(drained) - 1; i >= 0; i-- {
-			n := s.jobNeed(drained[i])
-			if i+1 < len(drained) && needs[i+1] < n {
-				n = needs[i+1]
-			}
-			needs[i] = n
-		}
-		for i, j := range drained {
-			if s.free+s.maxFreeable() < needs[i] {
-				if needs[i] < s.minNeed {
-					s.minNeed = needs[i]
-				}
-				s.queue.bulkAdd(drained[i:])
-				break
-			}
-			s.submit(j)
+		acts := s.acts
+		s.submit(j)
+		switch {
+		case s.acts != acts:
+			frontier = maxSlotNeed
+		case gated:
+			frontier = need
 		}
 	}
-	s.queue.recycleDrained(drained)
+	s.queue.unpark()
+}
+
+// settled reports whether re-placing the jobs left in the heap would change
+// nothing: each needs at least frontier slots, or each needs more than
+// free + maxFreeable and — with preemption, where that bound is the whole
+// capacity — none outranks the lowest running job, so tryPreempt finds no
+// victim for any of them.
+func (s *Scheduler) settled(frontier int) bool {
+	least := s.queue.minNeed()
+	switch {
+	case least >= frontier:
+		return true
+	case s.free+s.maxFreeable() >= least:
+		return false
+	case !s.cfg.EnablePreemption || len(s.running) == 0:
+		return true
+	}
+	return s.effPriority(s.running[len(s.running)-1]) >= s.effPriority(s.queue.peek())
 }
 
 // maxFreeable is an upper bound on the worker slots a submission could free
@@ -806,17 +828,13 @@ func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
 // Two early-outs make the pass incremental (FullRedistribute disables
 // both; both are decision-transparent, see the equivalence tests):
 //
-//   - free ≤ 0: the Figure 3 loop cannot expand or start anything, so only
-//     the queue-empty minNeed reset survives.
+//   - free ≤ 0: the Figure 3 loop cannot expand or start anything.
 //   - clean: the previous pass ran to completion, nothing mutated since,
 //     and no rescale gap that blocked an expansion has expired yet
 //     (cleanUntil) — re-running it would replay the identical no-op scan.
 func (s *Scheduler) redistribute() {
 	if !s.cfg.FullRedistribute {
 		if s.free <= 0 {
-			if s.queue.Len() == 0 {
-				s.minNeed = maxSlotNeed
-			}
 			s.clean = true
 			s.cleanUntilNs = 0
 			return
@@ -834,14 +852,7 @@ func (s *Scheduler) redistribute() {
 	run := append(s.runScratch[:0], s.running...)
 	s.runScratch = run
 	overhead := s.cfg.JobOverheadSlots
-	// When not even the smallest waiting requirement (minNeed already
-	// includes the per-job overhead) fits the free slots — and out-of-order
-	// allocation is on, so skipped jobs gate nothing — the backlog cannot
-	// place a job and is left untouched.
-	popQueue := s.queue.Len() > 0 &&
-		(s.cfg.StrictFCFS || s.free >= s.minNeed)
 	popped := s.popScratch[:0]
-	poppedMin := maxSlotNeed
 	// Track what could invalidate a clean skip of the next pass: the
 	// earliest gap expiry among blocked expansions (Unix ns, 0 = none),
 	// and whether any actuation failed (an external actuator might accept
@@ -851,7 +862,11 @@ func (s *Scheduler) redistribute() {
 	ri := 0
 	for s.free > 0 {
 		takeQueue := false
-		if popQueue && s.queue.Len() > 0 {
+		// Once not even the smallest need left in the heap (jobNeed includes
+		// the per-job overhead) fits the free slots — and out-of-order
+		// allocation is on, so skipped jobs gate nothing — the rest of the
+		// backlog cannot place a job and is left in the heap.
+		if s.queue.Len() > 0 && (s.cfg.StrictFCFS || s.free >= s.queue.minNeed()) {
 			takeQueue = ri >= len(run) || s.before(s.queue.peek(), run[ri])
 		} else if ri >= len(run) {
 			break
@@ -886,9 +901,6 @@ func (s *Scheduler) redistribute() {
 		avail := s.free - overhead
 		if avail < jmin {
 			popped = append(popped, j)
-			if need := jmin + overhead; need < poppedMin {
-				poppedMin = need
-			}
 			if s.cfg.StrictFCFS {
 				break // no backfilling past the queue head
 			}
@@ -901,20 +913,10 @@ func (s *Scheduler) redistribute() {
 		if !s.start(j, replicas) {
 			attemptFailed = true
 			popped = append(popped, j)
-			if need := jmin + overhead; need < poppedMin {
-				poppedMin = need
-			}
 		}
 	}
 	if len(popped) > 0 {
-		if s.queue.Len() == 0 {
-			// The whole backlog was scanned, so poppedMin is exactly
-			// the smallest requirement still waiting.
-			s.minNeed = poppedMin
-		}
 		s.queue.bulkAdd(popped)
-	} else if s.queue.Len() == 0 {
-		s.minNeed = maxSlotNeed
 	}
 	s.popScratch = popped[:0]
 	clear(popped)

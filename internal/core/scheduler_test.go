@@ -484,6 +484,31 @@ func TestPreemptionMakesRoom(t *testing.T) {
 	}
 }
 
+// A preempted job whose re-placement fails keeps its checkpoint marker:
+// drivers charge restart+restore only to StatePreempted jobs, so losing the
+// state on a failed Reschedule would make the resume free.
+func TestPreemptedJobStaysPreemptedAfterFailedReschedule(t *testing.T) {
+	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 8, EnablePreemption: true})
+	low := job("low", 1, 4, 4)
+	if err := s.Submit(low); err != nil {
+		t.Fatal(err)
+	}
+	high := job("high", 5, 6, 6) // needs 6 of 8 slots: low must go
+	if err := s.Submit(high); err != nil {
+		t.Fatal(err)
+	}
+	if high.State != StateRunning || low.State != StatePreempted {
+		t.Fatalf("setup: high=%v low=%v, want Running/Preempted", high.State, low.State)
+	}
+	// The budget (capacity 8 with preemption) admits low's re-placement,
+	// but the only running job outranks it, so the attempt fails.
+	clk.advance(time.Hour)
+	s.Reschedule()
+	if low.State != StatePreempted {
+		t.Errorf("low = %v after a failed re-placement, want Preempted", low.State)
+	}
+}
+
 func TestPreemptionDisabledByDefault(t *testing.T) {
 	s, act, clk := newSched(t, Config{Policy: Elastic, Capacity: 8})
 	low := job("low", 1, 8, 8)

@@ -230,6 +230,24 @@ func queuedWork(m model.Machine, capacity int, spec model.Spec) float64 {
 	return m.JobRuntime(spec, minPE) * float64(minPE)
 }
 
+// queuedDemand is the summed queuedWork of a member's waiting jobs. It
+// counts them per class and folds count × queuedWork in class order, so the
+// float sum does not depend on the order the snapshot lists them in (the
+// member scheduler's heap layout).
+func queuedDemand(m model.Machine, capacity int, specs map[model.Class]model.Spec, queued []sim.QueuedJob) float64 {
+	var counts [model.XLarge + 1]int
+	for _, q := range queued {
+		counts[q.Class]++
+	}
+	sum := 0.0
+	for c, n := range counts {
+		if n > 0 {
+			sum += float64(n) * queuedWork(m, capacity, specs[model.Class(c)])
+		}
+	}
+	return sum
+}
+
 // sortVictims orders a donor's migration candidates: lowest priority first
 // (they would wait longest locally and cost the least to move), ties broken
 // by later submission, then ID — a total deterministic order.
@@ -278,10 +296,7 @@ func rebalanceRound(rb RebalanceConfig, backends []Member, sims []*sim.Simulator
 			plan = 1
 		}
 		st.plan = float64(plan)
-		for _, q := range st.queued {
-			st.drainT += queuedWork(machines[i], backends[i].Capacity(), specs[q.Class])
-		}
-		st.drainT /= st.plan
+		st.drainT = queuedDemand(machines[i], backends[i].Capacity(), specs, st.queued) / st.plan
 		states[i] = st
 		mean += st.drainT
 	}

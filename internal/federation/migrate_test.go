@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -243,5 +245,40 @@ func TestRouterDodgesDrainWindow(t *testing.T) {
 	}
 	if assign[0] != 1 {
 		t.Errorf("job routed into member %d's drain window", assign[0])
+	}
+}
+
+// TestQueuedDemandOrderInsensitive pins that a member's backlog estimate is
+// a function of the set of waiting jobs, not of the order the member's
+// snapshot lists them in (the scheduler's internal heap layout): a summed
+// per-job fold moves by ULPs under reordering, and a moved drainT flips
+// migration decisions.
+func TestQueuedDemandOrderInsensitive(t *testing.T) {
+	m, specs := model.DefaultMachine(), model.Specs()
+	classes := model.AllClasses()
+	queued := make([]sim.QueuedJob, 97)
+	for i := range queued {
+		queued[i] = sim.QueuedJob{Ref: int32(i), Class: classes[(i*7)%len(classes)]}
+	}
+	naive := func(q []sim.QueuedJob) float64 {
+		sum := 0.0
+		for _, j := range q {
+			sum += queuedWork(m, 64, specs[j.Class])
+		}
+		return sum
+	}
+	want := queuedDemand(m, 64, specs, queued)
+	rng := rand.New(rand.NewSource(1))
+	naiveMoved := false
+	for trial := 0; trial < 50; trial++ {
+		perm := append([]sim.QueuedJob(nil), queued...)
+		rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		if got := queuedDemand(m, 64, specs, perm); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("permutation %d: demand %v, want %v bit for bit", trial, got, want)
+		}
+		naiveMoved = naiveMoved || naive(perm) != naive(queued)
+	}
+	if !naiveMoved {
+		t.Error("no permutation moved the per-job fold; the input does not exercise float reordering")
 	}
 }

@@ -196,8 +196,8 @@ type simJob struct {
 	forcedOut   bool // preempted by a capacity reclaim; next start is a forced restart
 	// migratedCkpt marks a job injected from another federation member with
 	// a checkpoint: its next start charges restart+restore exactly as a
-	// locally preempted job's would (the flag exists because core.enqueue
-	// resets an injected job's state to StateQueued, losing the
+	// locally preempted job's would (the flag exists because an injected
+	// job enters core as a fresh StateQueued submission, without the
 	// StatePreempted marker).
 	migratedCkpt bool
 }
