@@ -52,9 +52,9 @@ func BenchmarkFederation(b *testing.B) {
 // 4-cluster fleet at the reference per-cluster load whose member 0 has half
 // the slots, co-simulated in 300 s barrier rounds with the
 // checkpoint-migrating rebalancer draining member 0's backlog into the
-// healthy members. Reported ungated until the next BENCH_BASELINE.json
-// refresh (benchreport lists candidate-only benchmarks as "new"); the
-// moves/round metric tracks rebalancer activity.
+// healthy members. CI gates it against BENCH_BASELINE.json through the
+// Federation prefix (±20% on ns/op and allocs/op); the moves/round metric
+// tracks rebalancer activity.
 func BenchmarkFederationMigration(b *testing.B) {
 	const jobs = 100_000
 	const clusters = 4

@@ -1,9 +1,11 @@
 package federation
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"elastichpc/internal/core"
 	"elastichpc/internal/model"
@@ -89,14 +91,54 @@ type Migration struct {
 	Checkpointed bool
 }
 
-// memberState is one member's snapshot at a round barrier.
+// memberState is one member's state at a round barrier. The rebalancer
+// keeps one per member for the whole run and refills it every round, so the
+// snapshot buffer's capacity carries over.
 type memberState struct {
-	eff     int     // capacity right now (after applied availability events)
-	effNext int     // capacity the trace delivers one round from now
-	plan    float64 // planning capacity: min(eff, effNext), ≥ 1 slot
-	drainT  float64 // queued work over plan — the backlog drain-time estimate
-	used    int     // running jobs' allocated slots
-	queued  []sim.QueuedJob
+	eff     int                   // capacity right now (after applied availability events)
+	effNext int                   // capacity the trace delivers one round from now
+	plan    float64               // planning capacity: min(eff, effNext), ≥ 1 slot
+	drainT  float64               // queued work over plan — the backlog drain-time estimate
+	used    int                   // running jobs' allocated slots
+	classes [model.XLarge + 1]int // waiting jobs per class at round start
+	queued  int                   // waiting jobs at round start
+	// snap is the waiting queue at round start, copied the first time the
+	// round touches the member (its donor turn or the first Inject into
+	// it), so jobs injected or preempted later in the round stay out of
+	// its victim set. Untouched members are never copied.
+	snap    []sim.QueuedJob
+	snapped bool
+}
+
+// rebal is one rebalanced run's coordinator: the members, the per-run
+// constants (specs, machines), and per-member state reused round after
+// round, so a round that moves nothing allocates nothing.
+type rebal struct {
+	rb       RebalanceConfig
+	backends []Member
+	sims     []*sim.Simulator
+	specs    map[model.Class]model.Spec
+	machines []model.Machine
+	states   []memberState
+	counts   []int // jobs per member, following every migration
+	migs     []Migration
+	// evicted and seen are a draining donor's phase-2 scratch.
+	evicted []sim.QueuedJob
+	seen    map[int32]bool
+}
+
+func newRebal(rb RebalanceConfig, backends []Member, sims []*sim.Simulator, counts []int) *rebal {
+	r := &rebal{
+		rb: rb, backends: backends, sims: sims, counts: counts,
+		specs:    model.Specs(),
+		machines: make([]model.Machine, len(sims)),
+		states:   make([]memberState, len(sims)),
+		seen:     map[int32]bool{},
+	}
+	for i, b := range backends {
+		r.machines[i] = b.Machine()
+	}
+	return r
 }
 
 // runRebalanced is the rebalancing twin of Run: co-simulate the members in
@@ -129,7 +171,7 @@ func runRebalanced(cfg Config, w sim.Workload) (Result, error) {
 	}
 
 	rb := cfg.Rebalance
-	var migs []Migration
+	r := newRebal(rb, backends, sims, counts)
 	rounds, stagnant := 0, 0
 	t := rb.Every
 	for {
@@ -156,7 +198,7 @@ func runRebalanced(cfg Config, w sim.Workload) (Result, error) {
 		if drained {
 			break
 		}
-		moved, err := rebalanceRound(rb, backends, sims, t, rounds, counts, &migs)
+		moved, err := r.rebalanceRound(t, rounds)
 		if err != nil {
 			return Result{}, err
 		}
@@ -195,7 +237,7 @@ func runRebalanced(cfg Config, w sim.Workload) (Result, error) {
 		return Result{}, err
 	}
 	res := aggregate(cfg, backends, counts, members)
-	res.Migrations = migs
+	res.Migrations = r.migs
 	res.RebalanceRounds = rounds
 	res.MemberDecisions = memberDecisions(decs)
 	return res, nil
@@ -230,17 +272,13 @@ func queuedWork(m model.Machine, capacity int, spec model.Spec) float64 {
 	return m.JobRuntime(spec, minPE) * float64(minPE)
 }
 
-// queuedDemand is the summed queuedWork of a member's waiting jobs. It
-// counts them per class and folds count × queuedWork in class order, so the
-// float sum does not depend on the order the snapshot lists them in (the
-// member scheduler's heap layout).
-func queuedDemand(m model.Machine, capacity int, specs map[model.Class]model.Spec, queued []sim.QueuedJob) float64 {
-	var counts [model.XLarge + 1]int
-	for _, q := range queued {
-		counts[q.Class]++
-	}
+// queuedDemand is the summed queuedWork of a member's waiting jobs, given
+// their count per class. It folds count × queuedWork in class order, so the
+// float sum does not depend on the order the member's queue holds them in
+// (the scheduler's heap layout).
+func queuedDemand(m model.Machine, capacity int, specs map[model.Class]model.Spec, classes *[model.XLarge + 1]int) float64 {
 	sum := 0.0
-	for c, n := range counts {
+	for c, n := range classes {
 		if n > 0 {
 			sum += float64(n) * queuedWork(m, capacity, specs[model.Class(c)])
 		}
@@ -252,109 +290,85 @@ func queuedDemand(m model.Machine, capacity int, specs map[model.Class]model.Spe
 // (they would wait longest locally and cost the least to move), ties broken
 // by later submission, then ID — a total deterministic order.
 func sortVictims(victims []sim.QueuedJob) {
-	sort.Slice(victims, func(a, b int) bool {
-		va, vb := victims[a], victims[b]
+	slices.SortFunc(victims, func(va, vb sim.QueuedJob) int {
 		if va.Priority != vb.Priority {
-			return va.Priority < vb.Priority
+			return cmp.Compare(va.Priority, vb.Priority)
 		}
 		if va.SubmitAt != vb.SubmitAt {
-			return va.SubmitAt > vb.SubmitAt
+			return cmp.Compare(vb.SubmitAt, va.SubmitAt)
 		}
-		return va.ID < vb.ID
+		return strings.Compare(va.ID, vb.ID)
 	})
 }
 
-// rebalanceRound snapshots every member at the barrier instant t, picks
-// donors (backlogged beyond threshold, or draining), and migrates victims to
-// the receivers that can finish them soonest. Returns the number of jobs
-// moved. All state reads precede all mutations except the moves themselves,
-// which only ever touch a donor's own snapshot entries — so the decision
-// sequence is a pure function of the barrier state.
-func rebalanceRound(rb RebalanceConfig, backends []Member, sims []*sim.Simulator,
-	t float64, round int, counts []int, migs *[]Migration) (int, error) {
-	n := len(sims)
-	specs := model.Specs()
-	machines := make([]model.Machine, n)
-	states := make([]memberState, n)
+// rebalanceRound reads every member at the barrier instant t, picks donors
+// (backlogged beyond threshold, or draining), and migrates victims to the
+// receivers that can finish them soonest. Returns the number of jobs moved.
+// Each member's drain estimate comes from its per-class queue counts; only
+// donors and receivers have their queues copied, each once, at first touch
+// — so every donor's victims are exactly its queue at the barrier, and the
+// decision sequence is a pure function of the barrier state.
+func (r *rebal) rebalanceRound(t float64, round int) (int, error) {
 	mean := 0.0
-	for i := range sims {
-		machines[i] = backends[i].Machine()
-		st := memberState{
-			eff:     sims[i].CurrentCapacity(),
-			used:    sims[i].UsedSlots(),
-			queued:  sims[i].QueuedJobs(),
-			effNext: sims[i].CurrentCapacity(),
+	for i, s := range r.sims {
+		st := &r.states[i]
+		s.CountQueued(&st.classes)
+		st.eff = s.CurrentCapacity()
+		st.used = s.UsedSlots()
+		st.effNext = st.eff
+		if tr := r.backends[i].Availability(); len(tr.Events) > 0 {
+			st.effNext = tr.CapacityAt(r.backends[i].Capacity(), t+r.rb.Every)
 		}
-		if tr := backends[i].Availability(); len(tr.Events) > 0 {
-			st.effNext = tr.CapacityAt(backends[i].Capacity(), t+rb.Every)
-		}
-		plan := st.eff
-		if st.effNext < plan {
-			plan = st.effNext
-		}
+		plan := min(st.eff, st.effNext)
 		if plan < 1 {
 			plan = 1
 		}
 		st.plan = float64(plan)
-		st.drainT = queuedDemand(machines[i], backends[i].Capacity(), specs, st.queued) / st.plan
-		states[i] = st
+		st.queued = 0
+		for _, n := range st.classes {
+			st.queued += n
+		}
+		st.drainT = queuedDemand(r.machines[i], r.backends[i].Capacity(), r.specs, &st.classes) / st.plan
+		st.snapped = false
 		mean += st.drainT
 	}
-	mean /= float64(n)
+	mean /= float64(len(r.sims))
 
 	moved := 0
-	budget := rb.MaxMovesPerRound
-	for donor := range states {
+	budget := r.rb.MaxMovesPerRound
+	for donor := range r.states {
 		if budget > 0 && moved >= budget {
 			break
 		}
-		backlogged := states[donor].drainT > mean*(1+rb.Threshold) && len(states[donor].queued) > 0
-		draining := states[donor].effNext < states[donor].eff
+		st := &r.states[donor]
+		backlogged := st.drainT > mean*(1+r.rb.Threshold) && st.queued > 0
+		draining := st.effNext < st.eff
 		if !backlogged && !draining {
 			continue
 		}
 		// Phase 1: evacuate queued jobs.
-		victims := append([]sim.QueuedJob(nil), states[donor].queued...)
-		sortVictims(victims)
-		for _, v := range victims {
-			if budget > 0 && moved >= budget {
-				break
-			}
-			ok, err := tryMove(rb, backends, sims, states, machines, specs, donor, v, t, round, counts, migs)
-			if err != nil {
-				return moved, err
-			}
-			if ok {
-				moved++
-			}
+		r.touch(donor)
+		sortVictims(st.snap)
+		var err error
+		if moved, err = r.walk(donor, st.snap, t, round, moved); err != nil {
+			return moved, err
 		}
 		// Phase 2: a draining member whose running allocation will not fit
 		// after the drop checkpoint-preempts the deficit (core.Preempt
-		// lifted to the fleet) and migrates the evicted jobs too.
-		if rb.MigrateRunning && draining && states[donor].used > states[donor].effNext {
-			seen := make(map[int32]bool, len(states[donor].queued))
-			for _, q := range states[donor].queued {
-				seen[q.Ref] = true
+		// lifted to the fleet) and migrates the jobs it evicted — only
+		// those: jobs injected into it earlier in the round stay put.
+		if r.rb.MigrateRunning && draining && st.used > st.effNext {
+			clear(r.seen)
+			r.evicted = r.sims[donor].AppendQueued(r.evicted[:0])
+			for _, q := range r.evicted {
+				r.seen[q.Ref] = true
 			}
-			if sims[donor].Preempt(states[donor].used-states[donor].effNext) > 0 {
-				evicted := make([]sim.QueuedJob, 0, 4)
-				for _, q := range sims[donor].QueuedJobs() {
-					if !seen[q.Ref] {
-						evicted = append(evicted, q)
-					}
-				}
+			if r.sims[donor].Preempt(st.used-st.effNext) > 0 {
+				r.evicted = r.sims[donor].AppendQueued(r.evicted[:0])
+				evicted := slices.DeleteFunc(r.evicted, func(q sim.QueuedJob) bool { return r.seen[q.Ref] })
 				sortVictims(evicted)
-				for _, v := range evicted {
-					if budget > 0 && moved >= budget {
-						break
-					}
-					ok, err := tryMove(rb, backends, sims, states, machines, specs, donor, v, t, round, counts, migs)
-					if err != nil {
-						return moved, err
-					}
-					if ok {
-						moved++
-					}
+				if moved, err = r.walk(donor, evicted, t, round, moved); err != nil {
+					return moved, err
 				}
 			}
 		}
@@ -363,8 +377,54 @@ func rebalanceRound(rb RebalanceConfig, backends []Member, sims []*sim.Simulator
 		// Donors freed queue entries (and possibly slots); receivers got
 		// new submissions. One scheduling pass per member, in index order,
 		// lets everyone act on the new state at exactly t.
-		for i := range sims {
-			sims[i].Kick()
+		for _, s := range r.sims {
+			s.Kick()
+		}
+	}
+	return moved, nil
+}
+
+// touch copies member i's waiting queue into its reused snapshot buffer,
+// the first time in a round that i is touched.
+func (r *rebal) touch(i int) {
+	st := &r.states[i]
+	if !st.snapped {
+		st.snap = r.sims[i].AppendQueued(st.snap[:0])
+		st.snapped = true
+	}
+}
+
+// walk offers donor's victims, in order, to tryMove until the round's move
+// budget runs out, and returns the updated move count. A victim whose class
+// has already failed to move in this walk is skipped, and the walk stops
+// once every class present has failed (see tryMove for why such a victim
+// cannot move).
+func (r *rebal) walk(donor int, victims []sim.QueuedJob, t float64, round, moved int) (int, error) {
+	var present, failed [model.XLarge + 1]bool
+	live := 0
+	for _, v := range victims {
+		if !present[v.Class] {
+			present[v.Class] = true
+			live++
+		}
+	}
+	budget := r.rb.MaxMovesPerRound
+	for _, v := range victims {
+		if live == 0 || budget > 0 && moved >= budget {
+			break
+		}
+		if failed[v.Class] {
+			continue
+		}
+		ok, err := r.tryMove(donor, v, t, round)
+		if err != nil {
+			return moved, err
+		}
+		if ok {
+			moved++
+		} else {
+			failed[v.Class] = true
+			live--
 		}
 	}
 	return moved, nil
@@ -374,10 +434,16 @@ func rebalanceRound(rb RebalanceConfig, backends []Member, sims []*sim.Simulator
 // round's bookkeeping. A move happens only when some feasible receiver,
 // even after absorbing the job, would still drain sooner than the donor
 // does now — otherwise the job stays put. Returns whether a move happened.
-func tryMove(rb RebalanceConfig, backends []Member, sims []*sim.Simulator,
-	states []memberState, machines []model.Machine, specs map[model.Class]model.Spec,
-	donor int, v sim.QueuedJob, t float64, round int, counts []int, migs *[]Migration) (bool, error) {
-	spec := specs[v.Class]
+//
+// The outcome depends only on the victim's class and on the members'
+// states: feasibility reads capacities fixed for the round, and the
+// comparison reads drain times. Within one donor's walk a successful move
+// only lowers the donor's drainT (the bar a receiver must beat) and raises a
+// receiver's, so once a class fails to move off a donor, every later victim
+// of that class in the same walk fails too — walk skips them.
+func (r *rebal) tryMove(donor int, v sim.QueuedJob, t float64, round int) (bool, error) {
+	spec := r.specs[v.Class]
+	states := r.states
 	recv, recvWork := -1, 0.0
 	best := states[donor].drainT
 	for i := range states {
@@ -387,10 +453,10 @@ func tryMove(rb RebalanceConfig, backends []Member, sims []*sim.Simulator,
 		// Hardware fit: the receiver's base capacity must host the job at
 		// all, and its planning capacity (which sees the next drain window)
 		// must host the job's minimum now.
-		if spec.MinReplicas > backends[i].Capacity() || float64(spec.MinReplicas) > states[i].plan {
+		if spec.MinReplicas > r.backends[i].Capacity() || float64(spec.MinReplicas) > states[i].plan {
 			continue
 		}
-		work := queuedWork(machines[i], backends[i].Capacity(), spec)
+		work := queuedWork(r.machines[i], r.backends[i].Capacity(), spec)
 		after := states[i].drainT + work/states[i].plan
 		if after < best {
 			best, recv, recvWork = after, i, work
@@ -399,24 +465,25 @@ func tryMove(rb RebalanceConfig, backends []Member, sims []*sim.Simulator,
 	if recv < 0 {
 		return false, nil
 	}
-	mj, err := sims[donor].Withdraw(v.Ref)
+	mj, err := r.sims[donor].Withdraw(v.Ref)
 	if err != nil {
 		// The snapshot said the job was waiting; a failure here means the
 		// coordinator and member disagree — a bug, not a routine miss.
 		return false, fmt.Errorf("federation: migrate %s off member %d: %w", v.ID, donor, err)
 	}
-	if err := sims[recv].Inject(mj); err != nil {
+	r.touch(recv)
+	if err := r.sims[recv].Inject(mj); err != nil {
 		return false, fmt.Errorf("federation: migrate %s to member %d: %w", v.ID, recv, err)
 	}
-	donorWork := queuedWork(machines[donor], backends[donor].Capacity(), spec)
+	donorWork := queuedWork(r.machines[donor], r.backends[donor].Capacity(), spec)
 	states[donor].drainT -= donorWork / states[donor].plan
 	if states[donor].drainT < 0 {
 		states[donor].drainT = 0
 	}
 	states[recv].drainT += recvWork / states[recv].plan
-	counts[donor]--
-	counts[recv]++
-	*migs = append(*migs, Migration{
+	r.counts[donor]--
+	r.counts[recv]++
+	r.migs = append(r.migs, Migration{
 		Round: round, At: t, JobID: v.ID, From: donor, To: recv,
 		Checkpointed: mj.Checkpointed,
 	})

@@ -1,6 +1,8 @@
 package federation
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -250,9 +252,10 @@ func TestRouterDodgesDrainWindow(t *testing.T) {
 
 // TestQueuedDemandOrderInsensitive pins that a member's backlog estimate is
 // a function of the set of waiting jobs, not of the order the member's
-// snapshot lists them in (the scheduler's internal heap layout): a summed
+// queue holds them in (the scheduler's internal heap layout): a summed
 // per-job fold moves by ULPs under reordering, and a moved drainT flips
-// migration decisions.
+// migration decisions. The per-class counts are taken in queue order, the
+// way Simulator.CountQueued walks the heap.
 func TestQueuedDemandOrderInsensitive(t *testing.T) {
 	m, specs := model.DefaultMachine(), model.Specs()
 	classes := model.AllClasses()
@@ -267,18 +270,213 @@ func TestQueuedDemandOrderInsensitive(t *testing.T) {
 		}
 		return sum
 	}
-	want := queuedDemand(m, 64, specs, queued)
+	demand := func(q []sim.QueuedJob) float64 {
+		var classes [model.XLarge + 1]int
+		for _, j := range q {
+			classes[j.Class]++
+		}
+		return queuedDemand(m, 64, specs, &classes)
+	}
+	want := demand(queued)
 	rng := rand.New(rand.NewSource(1))
 	naiveMoved := false
 	for trial := 0; trial < 50; trial++ {
 		perm := append([]sim.QueuedJob(nil), queued...)
 		rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		if got := queuedDemand(m, 64, specs, perm); math.Float64bits(got) != math.Float64bits(want) {
+		if got := demand(perm); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("permutation %d: demand %v, want %v bit for bit", trial, got, want)
 		}
 		naiveMoved = naiveMoved || naive(perm) != naive(queued)
 	}
 	if !naiveMoved {
 		t.Error("no permutation moved the per-job fold; the input does not exercise float reordering")
+	}
+}
+
+// pinnedRebalanceConfig builds one rebalanced fleet of the pinned-log
+// table: four members, member 0 at half the slots so the round-robin deal
+// backs it up, under one of four rebalancer variants.
+func pinnedRebalanceConfig(policy core.Policy, variant string) Config {
+	members := Uniform(sim.DefaultConfig(policy), 4)
+	members[0].Capacity = 32
+	rb := RebalanceConfig{Every: 300}
+	switch variant {
+	case "avail":
+		members[1].Availability = workload.AvailabilityTrace{Events: []workload.CapacityEvent{
+			{At: 2900, Capacity: 24}, {At: 9000, Capacity: 64},
+		}}
+		members[2].Availability = workload.AvailabilityTrace{Events: []workload.CapacityEvent{
+			{At: 3000, Capacity: 12}, {At: 6000, Capacity: 64},
+		}}
+		rb.MigrateRunning = true
+	case "cap":
+		rb.MaxMovesPerRound = 1
+		rb.Threshold = 0.05
+	case "preempt":
+		for i := range members {
+			members[i].EnablePreemption = true
+		}
+	}
+	return Config{Members: members, Route: RoundRobin, Workers: 1, Rebalance: rb}
+}
+
+// migrationDigest is an FNV-64a digest of a migration log: every field of
+// every move, in log order.
+func migrationDigest(migs []Migration) uint64 {
+	h := fnv.New64a()
+	for _, m := range migs {
+		fmt.Fprintf(h, "%d|%x|%s|%d|%d|%t\n", m.Round, math.Float64bits(m.At), m.JobID, m.From, m.To, m.Checkpointed)
+	}
+	return h.Sum64()
+}
+
+// TestRebalanceMigrationLogPinned pins the rebalancer's decisions on eight
+// small fleets — Burst and Poisson arrivals, elastic and rigid-min members,
+// and the plain, availability + MigrateRunning, move-capped low-threshold,
+// and preemption variants — to a digest of each migration log plus the
+// round count and per-member job counts. The values were recorded before
+// rebalance rounds switched from whole-queue copies to per-class counts and
+// first-touch snapshots; a change in how a round reads member state must
+// not move them.
+func TestRebalanceMigrationLogPinned(t *testing.T) {
+	burst := workload.Burst{Waves: 10, PerWave: 24, WaveGap: 1500}
+	poisson := workload.Poisson{Jobs: 240, MeanGap: 50}
+	cases := []struct {
+		name    string
+		gen     workload.Generator
+		seed    int64
+		policy  core.Policy
+		variant string
+		digest  uint64
+		moves   int
+		rounds  int
+		jobs    []int
+	}{
+		{"burst/elastic/plain", burst, 1, core.Elastic, "plain", 0xe05da0f26ac619cd, 37, 46, []int{46, 70, 61, 63}},
+		{"poisson/rigid_min/plain", poisson, 2, core.RigidMin, "plain", 0x46d3b0c4708db6cf, 30, 46, []int{40, 75, 64, 61}},
+		{"burst/elastic/avail", burst, 3, core.Elastic, "avail", 0x18659e532089d8df, 68, 50, []int{43, 61, 55, 81}},
+		{"poisson/rigid_min/avail", poisson, 4, core.RigidMin, "avail", 0x9230f2a5efa71b49, 63, 43, []int{45, 54, 70, 71}},
+		{"burst/rigid_min/cap", burst, 2, core.RigidMin, "cap", 0x1fce1914be8c8ae0, 13, 53, []int{47, 70, 63, 60}},
+		{"poisson/elastic/cap", poisson, 1, core.Elastic, "cap", 0x62f23aeb41cc30b2, 25, 38, []int{43, 75, 64, 58}},
+		{"burst/elastic/preempt", burst, 4, core.Elastic, "preempt", 0xeb016c9a206c8e24, 32, 45, []int{50, 65, 65, 60}},
+		{"poisson/rigid_min/preempt", poisson, 3, core.RigidMin, "preempt", 0xc049acbcb10cdfb, 22, 48, []int{40, 75, 63, 62}},
+	}
+	for _, c := range cases {
+		w, err := c.gen.Generate(c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(pinnedRebalanceConfig(c.policy, c.variant), w)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		digest := migrationDigest(res.Migrations)
+		if digest != c.digest || len(res.Migrations) != c.moves || res.RebalanceRounds != c.rounds ||
+			!reflect.DeepEqual(res.JobsPerMember, c.jobs) {
+			t.Errorf("%s: got digest %#x, %d moves, %d rounds, jobs %#v; want %#x, %d, %d, %#v",
+				c.name, digest, len(res.Migrations), res.RebalanceRounds, res.JobsPerMember,
+				c.digest, c.moves, c.rounds, c.jobs)
+		}
+	}
+}
+
+// TestNoJobMigratesTwiceInOneRound pins that a round's victims are the
+// members' queues at the barrier: member 1 receives jobs off the backlogged
+// member 0 and is itself draining (its trace drops capacity before the next
+// round), so it turns donor later in the same round. Neither its queued
+// victims nor, with MigrateRunning, the jobs its Preempt evicts may include
+// a job injected into it earlier in that round.
+func TestNoJobMigratesTwiceInOneRound(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		w, err := (workload.Poisson{Jobs: 120, MeanGap: 20}).Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, preempt := range []bool{false, true} {
+			base := sim.DefaultConfig(core.Elastic)
+			base.EnablePreemption = preempt
+			members := Uniform(base, 3)
+			members[0].Capacity = 16
+			members[1].Availability = workload.AvailabilityTrace{Events: []workload.CapacityEvent{
+				{At: 650, Capacity: 16}, {At: 1550, Capacity: 64},
+				{At: 2050, Capacity: 8}, {At: 3000, Capacity: 64},
+			}}
+			res, err := Run(Config{
+				Members: members, Route: RoundRobin, Workers: 1,
+				Rebalance: RebalanceConfig{Every: 300, MigrateRunning: true},
+			}, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type roundJob struct {
+				round int
+				id    string
+			}
+			arrived := map[roundJob]int{}
+			for _, m := range res.Migrations {
+				k := roundJob{m.Round, m.JobID}
+				if to, ok := arrived[k]; ok && to == m.From {
+					t.Errorf("seed %d preempt %v: job %s moved twice in round %d (… → %d → %d)",
+						seed, preempt, m.JobID, m.Round, m.From, m.To)
+				}
+				arrived[k] = m.To
+			}
+		}
+	}
+}
+
+// TestZeroMoveRoundDoesNotAllocate pins that reading member state costs no
+// allocation once the per-run buffers have grown: member 0 keeps a backlog
+// of XLarge jobs that member 1 (8 slots, below their 16-slot minimum) can
+// never host, so every round snapshots and walks a donor but moves nothing.
+func TestZeroMoveRoundDoesNotAllocate(t *testing.T) {
+	big, small := sim.DefaultConfig(core.Elastic), sim.DefaultConfig(core.Elastic)
+	small.Capacity = 8
+	var w0, w1 sim.Workload
+	for i := 0; i < 40; i++ {
+		w0.Jobs = append(w0.Jobs, workload.JobSpec{
+			ID: fmt.Sprintf("x%d", i), Class: model.XLarge, Priority: 1 + i%5, SubmitAt: float64(i),
+		})
+	}
+	for i := 0; i < 10; i++ {
+		w1.Jobs = append(w1.Jobs, workload.JobSpec{
+			ID: fmt.Sprintf("s%d", i), Class: model.Small, Priority: 3, SubmitAt: float64(i),
+		})
+	}
+	backends := []Member{NewSimMember(big), NewSimMember(small)}
+	sims := make([]*sim.Simulator, 2)
+	for i, w := range []sim.Workload{w0, w1} {
+		s, err := sim.New([]sim.Config{big, small}[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Begin(w); err != nil {
+			t.Fatal(err)
+		}
+		sims[i] = s
+	}
+	r := newRebal(RebalanceConfig{Every: 300}.withDefaults(), backends, sims, []int{len(w0.Jobs), len(w1.Jobs)})
+	round := 0
+	for at := 300.0; at <= 1200; at += 300 {
+		for _, s := range sims {
+			if err := s.StepTo(at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round++
+		if moved, err := r.rebalanceRound(at, round); err != nil || moved != 0 {
+			t.Fatalf("round %d: moved %d, err %v", round, moved, err)
+		}
+	}
+	if !r.states[0].snapped || len(r.states[0].snap) == 0 {
+		t.Fatal("member 0 was not walked as a donor; the round exercises nothing")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if moved, err := r.rebalanceRound(1200, round); err != nil || moved != 0 {
+			t.Fatalf("moved %d, err %v", moved, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("zero-move round allocated %v times", allocs)
 	}
 }

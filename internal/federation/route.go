@@ -330,14 +330,25 @@ func Partition(cfg Config, w workload.Workload) ([]sim.Workload, []int, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return w.Jobs[order[a]].SubmitAt < w.Jobs[order[b]].SubmitAt
 	})
-	parts := make([]sim.Workload, len(members))
+	// Route every job first, then size each part exactly and fill it in
+	// the same submission order.
 	assign := make([]int, len(w.Jobs))
+	sizes := make([]int, len(members))
 	r := newRouter(cfg, members)
 	for _, wi := range order {
-		js := &w.Jobs[wi]
-		m := r.route(js)
+		m := r.route(&w.Jobs[wi])
 		assign[wi] = m
-		parts[m].Jobs = append(parts[m].Jobs, *js)
+		sizes[m]++
+	}
+	parts := make([]sim.Workload, len(members))
+	for m, n := range sizes {
+		if n > 0 {
+			parts[m].Jobs = make([]workload.JobSpec, 0, n)
+		}
+	}
+	for _, wi := range order {
+		m := assign[wi]
+		parts[m].Jobs = append(parts[m].Jobs, w.Jobs[wi])
 	}
 	return parts, assign, nil
 }

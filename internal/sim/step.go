@@ -13,7 +13,7 @@ import (
 // timeline at once; a stepped run advances the same event loop in bounded
 // windows (Begin → StepTo… → Finish) and, between windows, lets an external
 // coordinator inspect the waiting queue and move jobs in and out
-// (QueuedJobs / Withdraw / Inject / Preempt / Kick).
+// (CountQueued / AppendQueued / Withdraw / Inject / Preempt / Kick).
 //
 // Determinism contract: a stepped run is a pure function of (Config,
 // workload, the sequence of StepTo instants, and the mutations applied
@@ -136,14 +136,25 @@ func (s *Simulator) CurrentCapacity() int { return s.sched.Capacity() }
 // UsedSlots is the running jobs' total allocation right now.
 func (s *Simulator) UsedSlots() int { return s.sched.Capacity() - s.sched.FreeSlots() }
 
-// QueuedJobs snapshots the waiting queue (queued and checkpoint-preempted
-// jobs) in the scheduler's internal heap order — deterministic for a
-// deterministic run, but not sorted; coordinators impose their own order.
-func (s *Simulator) QueuedJobs() []QueuedJob {
-	out := make([]QueuedJob, 0, s.sched.NumQueued())
+// CountQueued fills counts with the waiting queue's job count per class
+// (queued and checkpoint-preempted jobs) without copying the queue.
+func (s *Simulator) CountQueued(counts *[model.XLarge + 1]int) {
+	*counts = [model.XLarge + 1]int{}
+	s.sched.VisitQueued(func(j *core.Job) bool {
+		counts[s.cold[j.Ref].meta.Class]++
+		return true
+	})
+}
+
+// AppendQueued appends a snapshot of the waiting queue (queued and
+// checkpoint-preempted jobs) to dst and returns the extended slice, so a
+// coordinator can reuse one buffer across rounds. Jobs come in the
+// scheduler's internal heap order — deterministic for a deterministic run,
+// but not sorted; coordinators impose their own order.
+func (s *Simulator) AppendQueued(dst []QueuedJob) []QueuedJob {
 	s.sched.VisitQueued(func(j *core.Job) bool {
 		sj := s.byRef[j.Ref]
-		out = append(out, QueuedJob{
+		dst = append(dst, QueuedJob{
 			Ref:          j.Ref,
 			ID:           j.ID,
 			Class:        s.cold[j.Ref].meta.Class,
@@ -154,7 +165,7 @@ func (s *Simulator) QueuedJobs() []QueuedJob {
 		})
 		return true
 	})
-	return out
+	return dst
 }
 
 // Withdraw removes a waiting job from this simulator, returning the
@@ -233,8 +244,8 @@ func (s *Simulator) Inject(mj MigratedJob) error {
 
 // Preempt forcibly reclaims up to slots worker slots from running jobs
 // (core.Scheduler.Preempt lifted to the stepping API): victims are shrunk,
-// then checkpoint-requeued lowest priority first, and land in QueuedJobs
-// ready to migrate. Returns the slots actually freed.
+// then checkpoint-requeued lowest priority first, and land in the waiting
+// queue (see AppendQueued) ready to migrate. Returns the slots actually freed.
 func (s *Simulator) Preempt(slots int) int {
 	return s.sched.Preempt(slots)
 }

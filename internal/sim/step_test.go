@@ -115,7 +115,7 @@ func TestWithdrawInjectRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	queued := donor.QueuedJobs()
+	queued := donor.AppendQueued(nil)
 	if len(queued) != 1 || queued[0].ID != "waiting" {
 		t.Fatalf("donor queue: %+v", queued)
 	}
