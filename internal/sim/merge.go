@@ -71,17 +71,30 @@ func (s *Simulator) seal() {
 // mergeSegments folds the reconciled segments — each a simulator that ran a
 // half-open stretch of the timeline bounded by fully drained instants —
 // into the facade simulator's accumulators and derives the Result. Segment
-// order is epoch order, so the seal replay is the sequential fold.
+// order is epoch order, so the seal replay is the sequential fold. The
+// first segment is the live chain's root, which keeps no log: its own
+// totals are exactly what replaying its seals into zero would give, so
+// they seed the fold and only segs[1:] replay.
 func (s *Simulator) mergeSegments(w Workload, segs []*Simulator) (Result, error) {
-	var cs core.CapacityStats
+	first := segs[0]
+	s.utilArea, s.wSum, s.wResp, s.wComp = first.utilArea, first.wSum, first.wResp, first.wComp
+	s.overheadArea, s.workLost = first.overheadArea, first.workLost
+	nSteps := 0
 	for _, sg := range segs {
-		for _, t := range sg.rec.seals {
-			s.utilArea += t.util
-			s.wSum += t.w
-			s.wResp += t.wr
-			s.wComp += t.wc
-			s.overheadArea += t.ovh
-			s.workLost += t.lost
+		nSteps += len(sg.capSteps)
+	}
+	s.capSteps = make([]UtilSample, 0, nSteps)
+	var cs core.CapacityStats
+	for i, sg := range segs {
+		if i > 0 {
+			for _, t := range sg.rec.seals {
+				s.utilArea += t.util
+				s.wSum += t.w
+				s.wResp += t.wr
+				s.wComp += t.wc
+				s.overheadArea += t.ovh
+				s.workLost += t.lost
+			}
 		}
 		s.completed += sg.completed
 		if sg.haveStart && (!s.haveStart || sg.firstStart < s.firstStart) {

@@ -55,8 +55,10 @@ type shardStats struct {
 // itself submitted.
 //
 // The drain predictor is a fluid approximation — backlog accumulates each
-// submission's total compute demand and drains at the base capacity's rate —
-// and is allowed to be wrong in either direction: a missed drain only costs
+// submission's total compute demand and drains at the capacity the trace
+// has in force — guarded by a per-job bound: no cut lands before every job
+// submitted so far could have finished at its minimum replica count. It is
+// allowed to be wrong in either direction: a missed drain only costs
 // parallelism, a falsely predicted drain is caught by the reconciliation
 // pass. Its only job is to place cuts where adoption is likely. Cuts are
 // chosen to equalize the predictor's *work* integral per epoch, not job
@@ -93,9 +95,10 @@ func planHorizon(plans []epochPlan, k int) float64 {
 }
 
 // planEpochs cuts the workload into at most cfg.Shards epochs at predicted
-// drain instants, spreading the cuts toward equal submission counts. One
-// plan covering everything is returned when the workload offers no usable
-// cut (the caller then runs the plain sequential loop).
+// drain instants, choosing among them the cuts nearest equal shares of the
+// predicted work. One plan covering everything is returned when the
+// workload offers no usable cut (the caller then runs the plain sequential
+// loop).
 func planEpochs(cfg Config, w Workload, order []int32) []epochPlan {
 	n := len(order)
 	avail := cfg.Availability.Events
@@ -108,28 +111,45 @@ func planEpochs(cfg Config, w Workload, order []int32) []epochPlan {
 		return whole
 	}
 
-	// Fluid drain estimate: each submission batch adds its jobs' total
-	// compute demand (steps × iteration time × replicas, at the replica
-	// count the policy favors) to a backlog that drains at the base
-	// capacity's rate. A cut is a candidate wherever the backlog hits zero
-	// before the next distinct submission instant; each candidate records
-	// the cumulative demand submitted before it, the work integral the cut
-	// chooser balances on.
+	// Drain estimate, conservative in two ways. The fluid backlog adds each
+	// submission batch's total compute demand (steps × iteration time ×
+	// replicas, at the replica count the policy favors) and drains, over
+	// every gap between submission instants, piecewise at the capacity the
+	// availability trace has in force — not the base capacity, which
+	// overstates the drain rate whenever reclaims have cut the cluster.
+	// Fluid draining also ignores that a job cannot spread past its own
+	// replica cap, so a position is a candidate only once every job
+	// submitted so far can have finished on its own: maxEnd is the latest
+	// submission instant plus runtime at MinReplicas, the fewest replicas a
+	// running elastic job holds. Each candidate records the cumulative
+	// demand submitted before it, the work integral the cut chooser
+	// balances on.
 	specs := model.Specs()
 	capRate := float64(cfg.Capacity)
 	var cuts []int        // candidate epoch-start positions in order, ascending
 	var cutWork []float64 // predicted work submitted before each candidate (non-decreasing)
 	backlog := 0.0
 	work := 0.0
+	maxEnd := math.Inf(-1)
+	ai := 0 // next availability event not yet folded into capRate
 	tPrev := w.Jobs[order[0]].SubmitAt
 	for i := 0; i < n; {
 		t := w.Jobs[order[i]].SubmitAt
 		if i > 0 {
+			for ; ai < len(avail) && avail[ai].At < t; ai++ {
+				if at := avail[ai].At; at > tPrev {
+					backlog -= capRate * (at - tPrev)
+					tPrev = at
+				}
+				capRate = float64(avail[ai].Capacity)
+			}
 			backlog -= capRate * (t - tPrev)
 			if backlog <= 0 {
 				backlog = 0
-				cuts = append(cuts, i)
-				cutWork = append(cutWork, work)
+				if maxEnd < t {
+					cuts = append(cuts, i)
+					cutWork = append(cutWork, work)
+				}
 			}
 		}
 		for i < n && w.Jobs[order[i]].SubmitAt == t {
@@ -138,15 +158,12 @@ func planEpochs(cfg Config, w Workload, order []int32) []epochPlan {
 			if cfg.Policy == core.RigidMin {
 				r = spec.MinReplicas
 			}
-			if r > cfg.Capacity {
-				r = cfg.Capacity
-			}
-			if r < 1 {
-				r = 1
-			}
+			r = max(1, min(r, cfg.Capacity))
 			d := float64(spec.Steps) * cfg.Machine.IterTime(spec.Grid, r) * float64(r)
 			backlog += d
 			work += d
+			minR := max(1, min(spec.MinReplicas, cfg.Capacity))
+			maxEnd = max(maxEnd, t+cfg.Machine.JobRuntime(spec, minR))
 			i++
 		}
 		tPrev = t
@@ -268,7 +285,12 @@ func (s *Simulator) runSharded(w Workload) (Result, error) {
 				return Result{}, err
 			}
 		}
-		sub.rec = &runLog{}
+		if k > 0 {
+			// Only a speculative epoch's seals need replaying: epoch 0,
+			// extended over any re-executed windows, folds its own totals
+			// in sequential order.
+			sub.rec = &runLog{}
+		}
 		sub.prepare(w, order, ranks, specs,
 			pl.subLo, pl.subHi, pl.capLo, pl.capHi,
 			planHorizon(plans, k), k == len(plans)-1)

@@ -520,3 +520,146 @@ func TestParallelChainedSpeculation(t *testing.T) {
 		t.Fatalf("adopted %d + reexecuted %d != %d boundaries", st.adopted, st.reexecuted, st.epochs-1)
 	}
 }
+
+// TestParallelSpotChurnAdoption pins the planner's adoption rate on the
+// shape the sharded path exists for: light Poisson load on clusters whose
+// capacity spot reclaims keep cutting and restoring. Every cluster's sharded
+// Result must equal its sequential one, and the reconciliation outcomes are
+// pinned exactly: a predictor that drains at the base capacity instead of
+// the capacity in force, or that ignores how long each job needs at its
+// minimum replica count, places cuts while jobs are still running and
+// re-executes boundaries this fixture adopts.
+func TestParallelSpotChurnAdoption(t *testing.T) {
+	spot, err := workload.AvailabilityScenario("spot", workload.AvailabilityOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total shardStats
+	for seed := int64(1); seed <= 4; seed++ {
+		w, err := workload.Poisson{Jobs: 200, MeanGap: 290}.Generate(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		horizon := AvailabilityHorizon(w)
+		tr, err := spot.Events(seed, 64, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(core.Elastic)
+		cfg.Availability = tr.WithRestore(64, horizon)
+		want, err := Run(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Shards = 2
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: sharded result differs from the sequential one:\n got %+v\nwant %+v", seed, got, want)
+		}
+		total.epochs += s.stats.epochs
+		total.adopted += s.stats.adopted
+		total.reexecuted += s.stats.reexecuted
+	}
+	if want := (shardStats{epochs: 8, adopted: 4, reexecuted: 0}); total != want {
+		t.Fatalf("reconciliation outcomes %+v, want %+v", total, want)
+	}
+}
+
+// cutStarts returns the start instants of a plan's epochs after the first.
+func cutStarts(plans []epochPlan) []float64 {
+	var starts []float64
+	for _, pl := range plans[1:] {
+		starts = append(starts, pl.start)
+	}
+	return starts
+}
+
+// TestPlanEpochsRuntimeBound isolates the predictor's per-job rule: one
+// XLarge job at t=0 followed by Small jobs whose fluid demand drains between
+// arrivals. Fluid draining alone would offer a cut as soon as the XLarge
+// job's demand has drained at full capacity, but the job may hold only its
+// MinReplicas and still be running then, so no cut may land before its
+// runtime at MinReplicas.
+func TestPlanEpochsRuntimeBound(t *testing.T) {
+	cfg := DefaultConfig(core.Elastic)
+	specs := model.Specs()
+	xl, small := specs[model.XLarge], specs[model.Small]
+	bound := cfg.Machine.JobRuntime(xl, xl.MinReplicas)
+	fluid := predictedDemand(cfg, model.XLarge) / float64(cfg.Capacity)
+	// Each Small job ends, even at MinReplicas, before the next arrives.
+	gap := 2 * cfg.Machine.JobRuntime(small, small.MinReplicas)
+	if !(fluid+2*gap < bound) {
+		t.Fatalf("fixture offers no fluid-only cut: XLarge drains at %v, bound %v, gap %v", fluid, bound, gap)
+	}
+	w := Workload{Jobs: []workload.JobSpec{{ID: "xl", Class: model.XLarge, Priority: 3}}}
+	for at := gap; at < 2*bound; at += gap {
+		w.Jobs = append(w.Jobs, workload.JobSpec{
+			ID: fmt.Sprintf("s%04d", len(w.Jobs)), Class: model.Small, Priority: 3, SubmitAt: at,
+		})
+	}
+	cfg.Shards = 8
+	plans := planEpochs(cfg, w, submissionOrder(w))
+	if len(plans) < 2 {
+		t.Fatalf("no cut past the runtime bound %v: %+v", bound, plans)
+	}
+	for _, at := range cutStarts(plans) {
+		if at <= bound {
+			t.Fatalf("cut at %v lands before the XLarge job's runtime at MinReplicas %v (cuts %v)",
+				at, bound, cutStarts(plans))
+		}
+	}
+}
+
+// TestPlanEpochsCapacityInForce isolates the predictor's drain rate: a
+// batch of Small jobs at t=0 and one more job later, at an instant the
+// batch's fluid demand has drained by at the base capacity but not at the
+// 16 slots a reclaim leaves. Without a trace the later job's instant is a
+// cut candidate; a trace that drops capacity to 16 for the whole gap removes
+// it, and one that restores the capacity early gives it back (the drain is
+// piecewise over the trace, not at one rate).
+func TestPlanEpochsCapacityInForce(t *testing.T) {
+	cfg := DefaultConfig(core.Elastic)
+	cfg.Shards = 2
+	small := model.Specs()[model.Small]
+	const batch = 16
+	demand := batch * predictedDemand(cfg, model.Small)
+	at := 1.5 * math.Max(cfg.Machine.JobRuntime(small, small.MinReplicas), demand/float64(cfg.Capacity))
+	if !(demand/16 > at) {
+		t.Fatalf("fixture drains at 16 slots by %v, before the next submission at %v", demand/16, at)
+	}
+	var w Workload
+	for i := 0; i <= batch; i++ {
+		j := workload.JobSpec{ID: fmt.Sprintf("s%02d", i), Class: model.Small, Priority: 3}
+		if i == batch {
+			j.SubmitAt = at
+		}
+		w.Jobs = append(w.Jobs, j)
+	}
+	order := submissionOrder(w)
+
+	for _, tc := range []struct {
+		name   string
+		events []workload.CapacityEvent
+		cut    bool
+	}{
+		{"base", nil, true},
+		{"reclaimed", []workload.CapacityEvent{{At: 0, Capacity: 16}}, false},
+		{"restored", []workload.CapacityEvent{{At: 0, Capacity: 16}, {At: at / 10, Capacity: 64}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cfg
+			c.Availability = workload.AvailabilityTrace{Events: tc.events}
+			plans := planEpochs(c, w, order)
+			if got := len(plans) == 2 && plans[1].subLo == batch; got != tc.cut {
+				t.Fatalf("cut before the job at %v: %v, want %v (plans %+v)", at, got, tc.cut, plans)
+			}
+		})
+	}
+}
