@@ -181,8 +181,7 @@ func RandomWorkload(n int, gapSeconds float64, seed int64) Workload {
 
 // SimOption customizes one Simulate call. Options compose freely and apply
 // in argument order over the default configuration (64 slots, 180 s rescale
-// gap, the calibrated default machine) — every former Simulate* entry point
-// is a spelling of Simulate plus options.
+// gap, the calibrated default machine).
 type SimOption func(*SimConfig)
 
 // WithRescaleGap sets the rescale gap T_rescale_gap in seconds (default
@@ -232,30 +231,12 @@ func WithSimConfig(cfg SimConfig) SimOption {
 //	Simulate(p, w, WithStreaming())                     // O(running) memory
 //	Simulate(p, w, WithShards(8))                       // sharded + streaming
 //	Simulate(p, w, WithAvailability(tr), WithStreaming()) // capacity trace
-//
-// Every combination is bit-identical to the legacy Simulate* entry point it
-// replaces (pinned by the facade equivalence tests).
 func Simulate(p Policy, w Workload, opts ...SimOption) (SimResult, error) {
 	cfg := sim.DefaultConfig(p)
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	return sim.Run(cfg, w)
-}
-
-// SimulateStreaming is Simulate in streaming mode.
-//
-// Deprecated: Use Simulate with WithStreaming (and WithRescaleGap).
-func SimulateStreaming(p Policy, w Workload, rescaleGapSeconds float64) (SimResult, error) {
-	return Simulate(p, w, WithRescaleGap(rescaleGapSeconds), WithStreaming())
-}
-
-// SimulateParallel is Simulate with the event loop sharded across `shards`
-// goroutines by time epoch.
-//
-// Deprecated: Use Simulate with WithShards (and WithRescaleGap).
-func SimulateParallel(p Policy, w Workload, rescaleGapSeconds float64, shards int) (SimResult, error) {
-	return Simulate(p, w, WithRescaleGap(rescaleGapSeconds), WithShards(shards))
 }
 
 // Workload scenarios (the internal/workload engine): generators produce
@@ -384,22 +365,6 @@ func ReplayAvailabilityTrace(name string, tr AvailabilityTrace) AvailabilityProf
 	return workload.ReplayAvailability(name, tr)
 }
 
-// SimulateAvailability runs a workload under a policy on a time-varying
-// cluster.
-//
-// Deprecated: Use Simulate with WithAvailability (and WithRescaleGap).
-func SimulateAvailability(p Policy, w Workload, rescaleGapSeconds float64, tr AvailabilityTrace) (SimResult, error) {
-	return Simulate(p, w, WithRescaleGap(rescaleGapSeconds), WithAvailability(tr))
-}
-
-// SimulateAvailabilityStreaming is SimulateAvailability in O(running jobs)
-// memory.
-//
-// Deprecated: Use Simulate with WithAvailability and WithStreaming.
-func SimulateAvailabilityStreaming(p Policy, w Workload, rescaleGapSeconds float64, tr AvailabilityTrace) (SimResult, error) {
-	return Simulate(p, w, WithRescaleGap(rescaleGapSeconds), WithAvailability(tr), WithStreaming())
-}
-
 // AvailabilitySweep averages one workload scenario under every availability
 // profile × policy across seeds on a bounded worker pool.
 func AvailabilitySweep(profiles []AvailabilityProfile, gen WorkloadGenerator, seeds int, rescaleGapSeconds float64, workers int) ([]ScenarioResult, error) {
@@ -408,7 +373,7 @@ func AvailabilitySweep(profiles []AvailabilityProfile, gen WorkloadGenerator, se
 
 // EmulateAvailability generates one seed of a workload scenario and an
 // availability profile and runs both through the full k8s+operator
-// emulation — the cluster-backend twin of SimulateAvailability.
+// emulation — the cluster-backend twin of Simulate with WithAvailability.
 func EmulateAvailability(cfg ClusterConfig, g WorkloadGenerator, p AvailabilityProfile, seed int64) (SimResult, error) {
 	return cluster.RunAvailability(cfg, g, p, seed)
 }

@@ -259,9 +259,9 @@ func RunGenerator(cfg Config, g workload.Generator, seed int64) (sim.Result, err
 
 // RunAvailability generates one seed of a workload scenario and an
 // availability profile and runs both through the full emulation — the
-// cluster-backend twin of sim.RunPolicyAvailability. The trace gets a
-// restore-to-base event past its horizon so a profile ending mid-outage
-// cannot strand the backlog, mirroring sim.AvailabilitySweep.
+// cluster-backend twin of sim.Run with Config.Availability set. The trace
+// gets a restore-to-base event past its horizon so a profile ending
+// mid-outage cannot strand the backlog, mirroring sim.AvailabilitySweep.
 func RunAvailability(cfg Config, g workload.Generator, p workload.AvailabilityProfile, seed int64) (sim.Result, error) {
 	w, err := g.Generate(seed)
 	if err != nil {

@@ -111,7 +111,9 @@ func TestAvailabilityProfileComparableAcrossBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simres, err := sim.RunPolicyAvailability(core.Elastic, w, 180, tr.WithRestore(64, horizon))
+	simCfg := sim.DefaultConfig(core.Elastic)
+	simCfg.Availability = tr.WithRestore(64, horizon)
+	simres, err := sim.Run(simCfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,9 @@ import (
 
 // Sections a Mismatch can point into.
 const (
-	// SectionStructure covers shape disagreements: version, member count,
-	// presence/absence of a summary or a decision log.
+	// SectionStructure covers shape disagreements: version, dropped
+	// decisions, member count, presence/absence of a summary or a
+	// decision log.
 	SectionStructure = "structure"
 	// SectionDecisions covers the decision log.
 	SectionDecisions = "decisions"
@@ -75,6 +76,13 @@ func (d *Diff) compare(a, b *Stream, path []int) {
 			Member: path, Section: SectionStructure, Index: -1,
 			Fields: []string{"version"},
 			Detail: fmt.Sprintf("version %d vs %d", a.Version, b.Version),
+		})
+	}
+	if a.Dropped != b.Dropped {
+		d.add(Mismatch{
+			Member: path, Section: SectionStructure, Index: -1,
+			Fields: []string{"dropped"},
+			Detail: fmt.Sprintf("%d dropped decisions vs %d", a.Dropped, b.Dropped),
 		})
 	}
 	d.compareDecisions(a.Decisions, b.Decisions, path)

@@ -165,7 +165,8 @@ func TestDifferResolvesMemberPath(t *testing.T) {
 }
 
 // TestDifferMigrationAndSummaryMutations: divergences outside the decision
-// log are reported in their own sections.
+// log (the dropped count, migrations, the summary) are reported in their
+// own sections.
 func TestDifferMigrationAndSummaryMutations(t *testing.T) {
 	ref := &Stream{
 		Version:    StreamVersion,
@@ -173,17 +174,21 @@ func TestDifferMigrationAndSummaryMutations(t *testing.T) {
 		Summary:    &Summary{Policy: "elastic", Utilization: 0.8},
 	}
 	mut := cloneStream(ref)
+	mut.Dropped = 7
 	mut.Migrations[0].To = 1
 	mut.Summary.Utilization = 0.9
 
 	d := Compare(ref, mut)
-	if len(d.Mismatches) != 2 {
-		t.Fatalf("want 2 mismatches, got %+v", d.Mismatches)
+	if len(d.Mismatches) != 3 {
+		t.Fatalf("want 3 mismatches, got %+v", d.Mismatches)
 	}
-	if m := d.Mismatches[0]; m.Section != SectionMigrations || m.Index != 0 || m.Fields[0] != "to" {
+	if m := d.Mismatches[0]; m.Section != SectionStructure || m.Fields[0] != "dropped" {
+		t.Errorf("dropped mismatch %+v", m)
+	}
+	if m := d.Mismatches[1]; m.Section != SectionMigrations || m.Index != 0 || m.Fields[0] != "to" {
 		t.Errorf("migration mismatch %+v", m)
 	}
-	if m := d.Mismatches[1]; m.Section != SectionSummary || m.Fields[0] != "utilization" {
+	if m := d.Mismatches[2]; m.Section != SectionSummary || m.Fields[0] != "utilization" {
 		t.Errorf("summary mismatch %+v", m)
 	}
 	if d2 := Compare(ref, ref); !d2.Empty() {

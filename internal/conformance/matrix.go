@@ -205,9 +205,9 @@ type simCandidate struct {
 
 // simCase pins one (seed, policy) cell across all three workload shapes:
 // decision-stream equality with logging on (the reference is the
-// full-redistribute scheduler), then bit-exact result summaries with
-// logging off — the configuration where every incremental shortcut and the
-// streaming mode are live.
+// full-redistribute scheduler; logging only observes, so the candidates run
+// the production drain and kick batching), then bit-exact result summaries
+// with logging off, including the per-job digest and the streaming mode.
 func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 	name := fmt.Sprintf("sim/%s/seed%d", p, seed)
 	return Case{Name: name, Run: func() ([]Failure, error) {
@@ -228,9 +228,9 @@ func simCase(opt MatrixOptions, seed int64, p core.Policy) Case {
 			}
 			caseName := name + "/" + sc.Name
 
-			// Decision streams, logging on. (EnableLog disables the
-			// drain shortcut in every mode, so this isolates the
-			// redistribute early-outs and the shard reconciliation.)
+			// Decision streams, logging on: the production path's
+			// incremental drain and shard reconciliation against the
+			// full re-placement reference.
 			ref, err := run(true, true, false, 0)
 			if err != nil {
 				return nil, err

@@ -23,6 +23,7 @@ func RecordSim(cfg sim.Config, w sim.Workload) (*Stream, error) {
 	return &Stream{
 		Version:   StreamVersion,
 		Decisions: FromDecisions(s.Decisions()),
+		Dropped:   s.DecisionsDropped(),
 		Summary:   SummaryOf(res),
 	}, nil
 }

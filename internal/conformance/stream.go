@@ -39,8 +39,10 @@ import (
 
 // StreamVersion is the stream format generation written by this package.
 // Readers accept generations 1..StreamVersion and reject newer ones rather
-// than misinterpreting them.
-const StreamVersion = 1
+// than misinterpreting them. Version 2 logs state changes only (an enqueue
+// means a job began waiting, not a failed re-placement) and records the
+// bounded log's overwritten entries as Dropped.
+const StreamVersion = 2
 
 // epochNs anchors decision timestamps: both the simulator and the cluster
 // emulation start their virtual clocks at 2025-01-01T00:00:00Z, so every
@@ -59,6 +61,9 @@ type Stream struct {
 	// Decisions is the scheduler's decision log, oldest first (empty when
 	// the run did not enable decision logging).
 	Decisions []Decision `json:"decisions,omitempty"`
+	// Dropped counts the oldest decisions the bounded log overwrote
+	// before Decisions was taken.
+	Dropped int `json:"dropped,omitempty"`
 	// Migrations is the federation rebalancer's move log (fleet runs only).
 	Migrations []Migration `json:"migrations,omitempty"`
 	// Summary carries the run's aggregate Result, bit-exact.

@@ -60,7 +60,7 @@ func (d Decision) String() string {
 }
 
 // maxLogEntries bounds the in-memory decision log; older entries are
-// discarded (the operator runs for days).
+// discarded and counted (the operator runs for days).
 const maxLogEntries = 100_000
 
 // logRing is a bounded ring buffer of decisions, mirroring the charm msgq
@@ -68,12 +68,13 @@ const maxLogEntries = 100_000
 // in place, so steady-state logging overwrites the oldest slot instead of
 // copying or allocating per entry.
 type logRing struct {
-	buf  []Decision
-	head int // index of the oldest entry once the ring is full
-	n    int // live entries
+	buf     []Decision
+	head    int // index of the oldest entry once the ring is full
+	n       int // live entries
+	dropped int // entries overwritten
 }
 
-// add appends one entry, overwriting the oldest at the cap.
+// add appends one entry, overwriting (and counting) the oldest at the cap.
 func (r *logRing) add(d Decision) {
 	if len(r.buf) < maxLogEntries {
 		r.buf = append(r.buf, d)
@@ -85,6 +86,7 @@ func (r *logRing) add(d Decision) {
 	if r.head == len(r.buf) {
 		r.head = 0
 	}
+	r.dropped++
 }
 
 // snapshot returns the entries oldest-first as a fresh slice.
@@ -124,24 +126,31 @@ func (s *Scheduler) Log() []Decision {
 	return s.log.snapshot()
 }
 
+// LogDropped returns how many of the oldest decisions the bounded log has
+// overwritten; Log holds the rest.
+func (s *Scheduler) LogDropped() int { return s.log.dropped }
+
 // MergeLogs concatenates per-segment decision logs (each oldest-first) in
 // segment order and applies the ring-buffer bound, keeping the newest
 // maxLogEntries entries — exactly the log one scheduler would hold had it
 // recorded every segment's decisions in sequence. (A segment whose own ring
 // already dropped entries dropped only entries with at least maxLogEntries
-// successors globally, which the single-scheduler ring drops too.)
-func MergeLogs(segments ...[]Decision) []Decision {
+// successors globally, which the single-scheduler ring drops too.) dropped
+// is the segments' summed LogDropped; the returned count adds the entries
+// the bound discards here, so it equals the single scheduler's LogDropped.
+func MergeLogs(dropped int, segments ...[]Decision) ([]Decision, int) {
 	total := 0
 	for _, seg := range segments {
 		total += len(seg)
 	}
 	if total == 0 {
-		return nil
+		return nil, dropped
 	}
 	skip := 0
 	if total > maxLogEntries {
 		skip = total - maxLogEntries
 	}
+	dropped += skip
 	out := make([]Decision, 0, total-skip)
 	for _, seg := range segments {
 		if skip >= len(seg) {
@@ -151,5 +160,5 @@ func MergeLogs(segments ...[]Decision) []Decision {
 		out = append(out, seg[skip:]...)
 		skip = 0
 	}
-	return out
+	return out, dropped
 }

@@ -55,8 +55,9 @@ func TestDecisionLogDisabledByDefault(t *testing.T) {
 
 func TestDecisionLogBounded(t *testing.T) {
 	s, _, clk := newSched(t, Config{Policy: Elastic, Capacity: 1 << 20, EnableLog: true})
-	// Churn far past the cap.
-	for i := 0; i < maxLogEntries/2+100; i++ {
+	// Churn far past the cap: each round logs a start and a complete.
+	const rounds = maxLogEntries/2 + 100
+	for i := 0; i < rounds; i++ {
 		j := job("j", 1, 1, 1)
 		j.ID = "j" + string(rune('a'+i%26))
 		if err := s.Submit(j); err != nil {
@@ -67,6 +68,31 @@ func TestDecisionLogBounded(t *testing.T) {
 	}
 	if n := len(s.Log()); n > maxLogEntries {
 		t.Errorf("log grew to %d entries (cap %d)", n, maxLogEntries)
+	}
+	if got, want := s.LogDropped(), 2*rounds-maxLogEntries; got != want {
+		t.Errorf("LogDropped = %d, want %d", got, want)
+	}
+}
+
+// TestMergeLogsCountsDrops pins that a merge reports the segments' own
+// drops plus what the bound discards, keeping the newest entries.
+func TestMergeLogsCountsDrops(t *testing.T) {
+	seg := func(n int, id string) []Decision {
+		out := make([]Decision, n)
+		for i := range out {
+			out[i].JobID = id
+		}
+		return out
+	}
+	merged, dropped := MergeLogs(5, seg(maxLogEntries-10, "a"), seg(30, "b"))
+	if len(merged) != maxLogEntries || dropped != 25 {
+		t.Fatalf("merged %d entries, dropped %d; want %d, 25", len(merged), dropped, maxLogEntries)
+	}
+	if merged[0].JobID != "a" || merged[len(merged)-1].JobID != "b" {
+		t.Errorf("merge kept the wrong end: first %q, last %q", merged[0].JobID, merged[len(merged)-1].JobID)
+	}
+	if merged, dropped := MergeLogs(3, nil, nil); merged != nil || dropped != 3 {
+		t.Errorf("empty merge = %d entries, dropped %d; want 0, 3", len(merged), dropped)
 	}
 }
 

@@ -117,10 +117,13 @@ type Config struct {
 	StrictFCFS bool
 	// CostBenefit optionally gates rescales on application progress.
 	CostBenefit *CostBenefit
-	// EnableLog records every scheduling decision for retrieval via
-	// Scheduler.Log — the audit trail operators want when a rescale storm
-	// needs explaining. Entries land in a bounded ring buffer, so steady
-	// state logging allocates nothing per decision.
+	// EnableLog records every state change the scheduler makes (start,
+	// shrink, expand, a submission left waiting, completion, preemption,
+	// withdrawal, capacity) for retrieval via Scheduler.Log — the audit
+	// trail operators want when a rescale storm needs explaining. It only
+	// observes: a logged run takes the same path as an unlogged one.
+	// Entries land in a bounded ring buffer, so steady state logging
+	// allocates nothing per decision; LogDropped counts what it overwrote.
 	EnableLog bool
 	// FullRedistribute disables the incremental-scheduling early-outs:
 	// every redistribute runs the full Figure 3 pass and every Reschedule
@@ -467,14 +470,14 @@ func (s *Scheduler) expand(j *Job, to int) bool {
 
 // enqueue places j on the internal priority queue. A checkpoint-preempted
 // job keeps StatePreempted: it still resumes from its checkpoint, and it
-// does not age while it waits.
+// does not age while it waits. It logs nothing: Submit or the preemption
+// that began the waiting spell has logged it.
 func (s *Scheduler) enqueue(j *Job) {
 	if j.State != StatePreempted {
 		j.State = StateQueued
 	}
 	s.queue.push(j)
 	s.dirty()
-	s.record(DecisionEnqueue, j)
 }
 
 // removeRunning deletes j from the running list.
@@ -493,7 +496,8 @@ func (s *Scheduler) removeRunning(j *Job) {
 // Submit handles a new job submission (paper Figure 2). For the elastic
 // policy it may shrink lower-priority running jobs to make room; for the
 // baselines the gap checks and pinned bounds reduce it to the corresponding
-// rigid/moldable behaviour.
+// rigid/moldable behaviour. A job left waiting is logged as one enqueue
+// decision; later failed re-placements do not log it again.
 func (s *Scheduler) Submit(j *Job) error {
 	if err := j.Validate(); err != nil {
 		return err
@@ -505,6 +509,9 @@ func (s *Scheduler) Submit(j *Job) error {
 	j.prio = float64(j.Priority)
 	j.submitNs = j.SubmitTime.UnixNano()
 	s.submit(j)
+	if j.State != StateRunning {
+		s.record(DecisionEnqueue, j)
+	}
 	return nil
 }
 
@@ -702,8 +709,9 @@ func (s *Scheduler) Kick() {
 // least the slots of a job that just failed to place without touching the
 // cluster. A kick costs O((k + p) log n) for k distinct slot needs tried and
 // p placements, not a sort plus a placement walk per waiting job; a
-// saturated cluster pays O(1). With EnableLog or FullRedistribute every
-// waiting job is re-placed, so each attempt stays in the audit trail.
+// saturated cluster pays O(1). Only FullRedistribute, the reference the
+// equivalence tests compare against, re-places every waiting job; both
+// paths log the same decisions, as a skipped job would have made none.
 func (s *Scheduler) Reschedule() {
 	s.refresh()
 	if s.queue.Len() > 0 {
@@ -717,9 +725,9 @@ func (s *Scheduler) Reschedule() {
 // (failed placements, preemption victims) are parked until it ends, so each
 // waiting job is tried at most once per kick.
 //
-// Outside EnableLog and FullRedistribute the drain settles jobs without
-// running submit. frontier is the smallest need whose re-placement failed
-// with acts unchanged, so the cluster as it stands could not place it. A
+// Outside FullRedistribute the drain settles jobs without running submit.
+// frontier is the smallest need whose re-placement failed with acts
+// unchanged, so the cluster as it stands could not place it. A
 // later pop has lower or equal priority, and each step of submit is monotone
 // in (priority ↓, need ↑): the free-slot start check; the free + maxFreeable
 // gate; the feasibility walk, which sums gap-eligible running jobs of
@@ -734,7 +742,7 @@ func (s *Scheduler) rescheduleQueue() {
 		// not age: restore the heap invariant first.
 		s.queue.init()
 	}
-	gated := !s.cfg.EnableLog && !s.cfg.FullRedistribute
+	gated := !s.cfg.FullRedistribute
 	frontier := maxSlotNeed
 	if gated && s.settled(frontier) {
 		return // a saturated cluster's kick: O(1)

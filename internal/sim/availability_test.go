@@ -10,6 +10,14 @@ import (
 	"elastichpc/internal/workload"
 )
 
+// availConfig is the default configuration (180 s rescale gap) on the
+// capacity trace tr.
+func availConfig(p core.Policy, tr workload.AvailabilityTrace) Config {
+	cfg := DefaultConfig(p)
+	cfg.Availability = tr
+	return cfg
+}
+
 // dropRestore is a minimal hand-built capacity trace: lose half the cluster
 // at drop, get it back at restore.
 func dropRestore(drop, restore float64, low int) workload.AvailabilityTrace {
@@ -23,7 +31,7 @@ func TestAvailabilityRunCompletesAllPolicies(t *testing.T) {
 	w := RandomWorkload(16, 90, 7)
 	tr := dropRestore(300, 1500, 32)
 	for _, p := range core.AllPolicies() {
-		res, err := RunPolicyAvailability(p, w, 180, tr)
+		res, err := Run(availConfig(p, tr), w)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -48,7 +56,7 @@ func TestAvailabilityProfilesRunEndToEnd(t *testing.T) {
 			t.Fatalf("%s: %v", prof.Name(), err)
 		}
 		tr = tr.WithRestore(64, horizon)
-		res, err := RunPolicyAvailability(core.Elastic, w, 180, tr)
+		res, err := Run(availConfig(core.Elastic, tr), w)
 		if err != nil {
 			t.Fatalf("%s: %v", prof.Name(), err)
 		}
@@ -75,7 +83,7 @@ func TestCapacityEventBeforeSubmissionAtSameInstant(t *testing.T) {
 	tr := workload.AvailabilityTrace{Events: []workload.CapacityEvent{
 		{At: 100, Capacity: 32},
 	}}
-	res, err := RunPolicyAvailability(core.Elastic, w, 180, tr)
+	res, err := Run(availConfig(core.Elastic, tr), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +105,7 @@ func TestCapacityEventBeforeSubmissionAtSameInstant(t *testing.T) {
 	}
 
 	// Bit-for-bit reproducibility of the availability path.
-	again, err := RunPolicyAvailability(core.Elastic, w, 180, tr)
+	again, err := Run(availConfig(core.Elastic, tr), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +130,13 @@ func TestAvailabilityStreamingMatchesRetained(t *testing.T) {
 	}
 	tr = tr.WithRestore(64, AvailabilityHorizon(w))
 	for _, p := range core.AllPolicies() {
-		retained, err := RunPolicyAvailability(p, w, 180, tr)
+		retained, err := Run(availConfig(p, tr), w)
 		if err != nil {
 			t.Fatalf("%v retained: %v", p, err)
 		}
-		streaming, err := RunPolicyAvailabilityStreaming(p, w, 180, tr)
+		streamCfg := availConfig(p, tr)
+		streamCfg.Streaming = true
+		streaming, err := Run(streamCfg, w)
 		if err != nil {
 			t.Fatalf("%v streaming: %v", p, err)
 		}
@@ -157,7 +167,7 @@ func TestAvailabilityInvariantUnderRandomTraces(t *testing.T) {
 		}
 		tr = tr.WithRestore(64, at+1)
 		w := RandomWorkload(12, 60, seed)
-		res, err := RunPolicyAvailability(core.Elastic, w, 180, tr)
+		res, err := Run(availConfig(core.Elastic, tr), w)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

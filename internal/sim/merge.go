@@ -121,10 +121,12 @@ func (s *Simulator) mergeSegments(w Workload, segs []*Simulator) (Result, error)
 	s.ovhSub, s.lostSub = last.ovhSub, last.lostSub
 	if s.cfg.LogDecisions {
 		logs := make([][]core.Decision, len(segs))
+		dropped := 0
 		for i, sg := range segs {
 			logs[i] = sg.sched.Log()
+			dropped += sg.sched.LogDropped()
 		}
-		s.mergedDecisions = core.MergeLogs(logs...)
+		s.mergedDecisions, s.mergedDropped = core.MergeLogs(dropped, logs...)
 	}
 	if s.completed != len(w.Jobs) {
 		for _, sg := range segs {

@@ -663,3 +663,42 @@ func TestPlanEpochsCapacityInForce(t *testing.T) {
 		})
 	}
 }
+
+// TestShardedLogDropsMatchSequential pins that a sharded run reports the
+// sequential run's decision log and its dropped count when the log
+// overflows its bound: the merge counts what the segments' rings overwrote
+// plus what its own bound discards. Each of the two epochs here logs more
+// than 100k decisions on its own.
+func TestShardedLogDropsMatchSequential(t *testing.T) {
+	w, err := workload.Poisson{Jobs: 80000, MeanGap: 290}.Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(shards int) *Simulator {
+		cfg := DefaultConfig(core.Elastic)
+		cfg.LogDecisions = true
+		cfg.Streaming = true
+		cfg.Shards = shards
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(w); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	seq, par := run(0), run(2)
+	if par.stats.epochs < 2 {
+		t.Fatalf("sharded run planned %d epochs, want at least 2", par.stats.epochs)
+	}
+	if seq.DecisionsDropped() == 0 {
+		t.Fatal("the log did not overflow; the fixture needs more jobs")
+	}
+	if got, want := par.DecisionsDropped(), seq.DecisionsDropped(); got != want {
+		t.Errorf("sharded run dropped %d decisions, sequential %d", got, want)
+	}
+	if !reflect.DeepEqual(seq.Decisions(), par.Decisions()) {
+		t.Error("sharded decision log differs from the sequential one")
+	}
+}

@@ -132,11 +132,12 @@ type Config struct {
 	// before completions and kicks; ties within each class keep trace,
 	// workload, and push order respectively. Empty means fixed capacity.
 	Availability workload.AvailabilityTrace
-	// LogDecisions records every scheduling decision for retrieval via
-	// Simulator.Decisions — the audit trail for debugging a run. Default
-	// off: the streaming hot path then allocates nothing per decision,
-	// and with it on the entries land in core's bounded ring buffer
-	// (oldest overwritten past 100k).
+	// LogDecisions records every scheduling state change for retrieval
+	// via Simulator.Decisions — the audit trail for debugging a run. It
+	// only observes: the run and its Result are the same either way.
+	// Default off: the streaming hot path then allocates nothing per
+	// decision, and with it on the entries land in core's bounded ring
+	// buffer (oldest overwritten past 100k, counted by DecisionsDropped).
 	LogDecisions bool
 	// FullRedistribute disables the scheduler's incremental early-outs
 	// (see core.Config.FullRedistribute) — the reference mode the
@@ -263,8 +264,10 @@ type Simulator struct {
 	// order-sensitive accumulator so a sharded run can replay them into one
 	// bit-identical sequential fold (see merge.go).
 	rec *runLog
-	// mergedDecisions overrides Decisions() after a sharded run.
+	// mergedDecisions and mergedDropped override Decisions() and
+	// DecisionsDropped() after a sharded run.
 	mergedDecisions []core.Decision
+	mergedDropped   int
 	// abandoned is set by the sharded reconciliation pass when this
 	// simulator's speculative epoch has been discarded (its boundary guess
 	// failed): runWindow then bails out early instead of simulating to the
@@ -512,11 +515,10 @@ func (s *Simulator) prepare(w Workload, order, ranks []int32, specs map[model.Cl
 	// drift with time (aging), preemption can fire without a gap check, or
 	// a cost/benefit gate consults time-varying progress — in those
 	// configurations every event re-arms individually, preserving the
-	// historical sequence exactly. The audit log also sees mid-batch kicks
-	// (a no-op Reschedule still logs its re-enqueue wave), so LogDecisions
-	// keeps per-event arming too.
+	// historical sequence exactly. Elsewhere a kick armed mid-batch could
+	// only fire a Reschedule that changes nothing, and so logs nothing.
 	s.deferKicks = s.cfg.AgingRate == 0 && !s.cfg.EnablePreemption &&
-		s.cfg.CostBenefit == nil && !s.cfg.LogDecisions
+		s.cfg.CostBenefit == nil
 	s.limit = 5_000_000 + 64*len(w.Jobs) + 16*len(s.cfg.Availability.Events)
 }
 
@@ -685,6 +687,16 @@ func (s *Simulator) Decisions() []core.Decision {
 		return s.mergedDecisions
 	}
 	return s.sched.Log()
+}
+
+// DecisionsDropped returns how many of the oldest decisions the bounded log
+// overwrote; Decisions holds the rest. After a sharded run it counts the
+// merged log's drops, again identical to the sequential mode's.
+func (s *Simulator) DecisionsDropped() int {
+	if s.mergedDecisions != nil {
+		return s.mergedDropped
+	}
+	return s.sched.LogDropped()
 }
 
 // scheduleKick arms a kick event at the next rescale-gap expiry that could
@@ -1018,8 +1030,8 @@ func (s *Simulator) collect(w Workload) (Result, error) {
 }
 
 // Run constructs a simulator for cfg and runs w to completion — the single
-// entry point the RunPolicy* wrappers, the federation members, the sweeps,
-// and the migration path all build runs through.
+// entry point RunPolicy, the federation members, the sweeps, and the
+// migration path all build runs through.
 func Run(cfg Config, w Workload) (Result, error) {
 	s, err := New(cfg)
 	if err != nil {
@@ -1032,50 +1044,5 @@ func Run(cfg Config, w Workload) (Result, error) {
 func RunPolicy(p core.Policy, w Workload, rescaleGap float64) (Result, error) {
 	cfg := DefaultConfig(p)
 	cfg.RescaleGap = rescaleGap
-	return Run(cfg, w)
-}
-
-// RunPolicyStreaming is RunPolicy in streaming mode: only the aggregate
-// metrics are computed, in O(running jobs) memory — the mode for
-// multi-million-job workloads.
-func RunPolicyStreaming(p core.Policy, w Workload, rescaleGap float64) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	cfg.Streaming = true
-	return Run(cfg, w)
-}
-
-// RunPolicyAvailability is RunPolicy under a time-varying cluster: the
-// capacity trace drives SetCapacity events through the event loop,
-// interleaved with the workload's submissions.
-func RunPolicyAvailability(p core.Policy, w Workload, rescaleGap float64, avail workload.AvailabilityTrace) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	cfg.Availability = avail
-	return Run(cfg, w)
-}
-
-// RunPolicyParallel is RunPolicyStreaming in the sharded execution mode:
-// the event loop is partitioned into up to shards speculative time epochs
-// that run concurrently and reconcile into a Result bit-identical to the
-// sequential mode (see Config.Shards). shards <= 1 is the sequential path;
-// a workload with fewer cluster-drain boundaries than shards degrades
-// gracefully to fewer epochs.
-func RunPolicyParallel(p core.Policy, w Workload, rescaleGap float64, shards int) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	cfg.Streaming = true
-	cfg.Shards = shards
-	return Run(cfg, w)
-}
-
-// RunPolicyAvailabilityStreaming is RunPolicyAvailability in streaming mode;
-// the aggregates (resilience metrics included) are bit-identical to the
-// retained mode.
-func RunPolicyAvailabilityStreaming(p core.Policy, w Workload, rescaleGap float64, avail workload.AvailabilityTrace) (Result, error) {
-	cfg := DefaultConfig(p)
-	cfg.RescaleGap = rescaleGap
-	cfg.Availability = avail
-	cfg.Streaming = true
 	return Run(cfg, w)
 }

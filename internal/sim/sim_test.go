@@ -423,7 +423,9 @@ func TestStreamingMatchesRetained(t *testing.T) {
 			w := RandomWorkload(16, gap, seed)
 			for _, p := range core.AllPolicies() {
 				retained := run(t, p, w, 180)
-				streaming, err := RunPolicyStreaming(p, w, 180)
+				cfg := DefaultConfig(p)
+				cfg.Streaming = true
+				streaming, err := Run(cfg, w)
 				if err != nil {
 					t.Fatalf("seed %d gap %g %v streaming: %v", seed, gap, p, err)
 				}
@@ -456,7 +458,9 @@ func TestStreamingRecyclesUnderBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streaming, err := RunPolicyStreaming(core.Elastic, w, 180)
+	cfg := DefaultConfig(core.Elastic)
+	cfg.Streaming = true
+	streaming, err := Run(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}

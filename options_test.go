@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"elastichpc"
+	"elastichpc/internal/sim"
 )
 
-// TestSimOptionsEquivalence pins the facade's API contract: every legacy
-// Simulate* entry point must produce a result bit-identical to the unified
-// Simulate call with the corresponding options. The deprecated wrappers stay
-// until the next major revision precisely because this equivalence lets
-// callers migrate mechanically.
+// TestSimOptionsEquivalence pins the facade's named options to the
+// sim.Config fields they stand for: Simulate with each option set must
+// return a result bit-identical to sim.Run on the default configuration
+// with those fields set by hand.
 func TestSimOptionsEquivalence(t *testing.T) {
 	w := elastichpc.RandomWorkload(48, 45, 7)
 	prof := elastichpc.SpotPreemptionProfile{MeanGap: 400, Slots: 24, MeanOutage: 200}
@@ -23,40 +23,28 @@ func TestSimOptionsEquivalence(t *testing.T) {
 	p := elastichpc.Elastic
 
 	cases := []struct {
-		name   string
-		legacy func() (elastichpc.SimResult, error)
-		opts   []elastichpc.SimOption
+		name string
+		set  func(*sim.Config)
+		opts []elastichpc.SimOption
 	}{
 		{
 			name: "streaming",
-			legacy: func() (elastichpc.SimResult, error) {
-				//lint:ignore SA1019 the test pins the deprecated wrapper against its replacement
-				return elastichpc.SimulateStreaming(p, w, gap)
-			},
+			set:  func(c *sim.Config) { c.Streaming = true },
 			opts: []elastichpc.SimOption{elastichpc.WithRescaleGap(gap), elastichpc.WithStreaming()},
 		},
 		{
 			name: "parallel",
-			legacy: func() (elastichpc.SimResult, error) {
-				//lint:ignore SA1019 the test pins the deprecated wrapper against its replacement
-				return elastichpc.SimulateParallel(p, w, gap, 4)
-			},
+			set:  func(c *sim.Config) { c.Streaming, c.Shards = true, 4 },
 			opts: []elastichpc.SimOption{elastichpc.WithRescaleGap(gap), elastichpc.WithShards(4)},
 		},
 		{
 			name: "availability",
-			legacy: func() (elastichpc.SimResult, error) {
-				//lint:ignore SA1019 the test pins the deprecated wrapper against its replacement
-				return elastichpc.SimulateAvailability(p, w, gap, tr)
-			},
+			set:  func(c *sim.Config) { c.Availability = tr },
 			opts: []elastichpc.SimOption{elastichpc.WithRescaleGap(gap), elastichpc.WithAvailability(tr)},
 		},
 		{
 			name: "availability streaming",
-			legacy: func() (elastichpc.SimResult, error) {
-				//lint:ignore SA1019 the test pins the deprecated wrapper against its replacement
-				return elastichpc.SimulateAvailabilityStreaming(p, w, gap, tr)
-			},
+			set:  func(c *sim.Config) { c.Availability, c.Streaming = tr, true },
 			opts: []elastichpc.SimOption{
 				elastichpc.WithRescaleGap(gap), elastichpc.WithAvailability(tr), elastichpc.WithStreaming(),
 			},
@@ -64,7 +52,10 @@ func TestSimOptionsEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.legacy()
+			cfg := sim.DefaultConfig(p)
+			cfg.RescaleGap = gap
+			tc.set(&cfg)
+			want, err := sim.Run(cfg, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +64,7 @@ func TestSimOptionsEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("options path diverged from the legacy entry point:\nlegacy:  %+v\noptions: %+v", want, got)
+				t.Errorf("options path diverged from the hand-set config:\nconfig:  %+v\noptions: %+v", want, got)
 			}
 		})
 	}
