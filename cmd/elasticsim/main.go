@@ -56,7 +56,6 @@ func main() {
 		seed     = flag.Int64("seed", 7, "seed for -scenario / -save-workload runs")
 		saveWL   = flag.String("save-workload", "", "write the selected scenario's workload to this path and exit")
 		jsonPath = flag.String("json", "", "also write the results as a metrics.Report to this path")
-		workldFl = flag.String("workload", "", "deprecated alias of -trace")
 
 		clusters  = flag.Int("clusters", 1, "member clusters in a federated run (1 = single cluster)")
 		routeFl   = flag.String("route", "round_robin", "federation routing policy: round_robin | least_loaded | priority | random")
@@ -76,9 +75,6 @@ func main() {
 	)
 	flag.Parse()
 	defer profiling.Start(*cpuprofile, *memprofile)()
-	if *tracePth == "" {
-		*tracePth = *workldFl
-	}
 	// explicitScenario distinguishes a user-chosen -scenario from the
 	// "-trace implies -scenario trace" normalization below; -sweep
 	// scenario keeps its historical default (all scenarios plus the

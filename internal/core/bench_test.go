@@ -18,48 +18,57 @@ func (benchActuator) PreemptJob(*Job) error     { return nil }
 // drain it, so every event runs the enqueue/redistribute paths against a
 // thousands-deep backlog — the regime the indexed job queue exists for.
 func BenchmarkSchedulerBacklog(b *testing.B) {
-	const jobs = 10_000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		now := time.Unix(0, 0)
-		s, err := NewScheduler(Config{Policy: Elastic, Capacity: 64, RescaleGap: time.Minute},
-			benchActuator{}, func() time.Time { return now })
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < jobs; j++ {
-			job := &Job{
-				ID:          fmt.Sprintf("j%05d", j),
-				Priority:    1 + j%5,
-				MinReplicas: 2 + j%4,
-				MaxReplicas: 8 + j%16,
-			}
-			if err := s.Submit(job); err != nil {
-				b.Fatal(err)
-			}
-			now = now.Add(time.Second)
-		}
-		completed := 0
-		scratch := make([]*Job, 0, 64)
-		for s.NumRunning() > 0 {
-			// Snapshot via the non-copying iterator into a reused buffer
-			// (OnJobComplete mutates the running list mid-iteration).
-			scratch = scratch[:0]
-			s.VisitRunning(func(j *Job) bool {
-				scratch = append(scratch, j)
-				return true
-			})
-			for _, j := range scratch {
-				s.OnJobComplete(j)
-				completed++
-			}
-			now = now.Add(90 * time.Second)
-			s.Reschedule()
-		}
-		if completed != jobs {
-			b.Fatalf("completed %d of %d", completed, jobs)
-		}
+		runBacklog(b, 10_000, benchActuator{}, (*Scheduler).OnJobComplete)
 	}
+}
+
+// runBacklog is BenchmarkSchedulerBacklog's sequence: jobs submissions one
+// second apart into a 64-slot elastic cluster, then waves that complete every
+// running job through complete and kick Reschedule 90 s later, until the
+// cluster is empty. It returns the drained scheduler.
+func runBacklog(tb testing.TB, jobs int, act Actuator, complete func(*Scheduler, *Job)) *Scheduler {
+	tb.Helper()
+	now := time.Unix(0, 0)
+	s, err := NewScheduler(Config{Policy: Elastic, Capacity: 64, RescaleGap: time.Minute},
+		act, func() time.Time { return now })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for j := 0; j < jobs; j++ {
+		job := &Job{
+			ID:          fmt.Sprintf("j%05d", j),
+			Priority:    1 + j%5,
+			MinReplicas: 2 + j%4,
+			MaxReplicas: 8 + j%16,
+		}
+		if err := s.Submit(job); err != nil {
+			tb.Fatal(err)
+		}
+		now = now.Add(time.Second)
+	}
+	completed := 0
+	scratch := make([]*Job, 0, 64)
+	for s.NumRunning() > 0 {
+		// Snapshot via the non-copying iterator into a reused buffer
+		// (OnJobComplete mutates the running list mid-iteration).
+		scratch = scratch[:0]
+		s.VisitRunning(func(j *Job) bool {
+			scratch = append(scratch, j)
+			return true
+		})
+		for _, j := range scratch {
+			complete(s, j)
+			completed++
+		}
+		now = now.Add(90 * time.Second)
+		s.Reschedule()
+	}
+	if completed != jobs {
+		tb.Fatalf("completed %d of %d", completed, jobs)
+	}
+	return s
 }
 
 // BenchmarkSchedulerRedistributeIncremental measures the incremental

@@ -118,10 +118,7 @@ func (s *Scheduler) reclaim(need int) {
 		if j.Replicas <= jmin {
 			continue
 		}
-		to := j.Replicas - (target - s.free)
-		if to < jmin {
-			to = jmin
-		}
+		to := max(j.Replicas-(target-s.free), jmin)
 		freed := j.Replicas - to
 		if err := s.act.ShrinkJob(j, to); err != nil {
 			continue

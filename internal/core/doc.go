@@ -25,9 +25,9 @@
 // The scheduler is incremental: redistribution passes early-out when no
 // slot, queue, or capacity state changed since the last completed pass (and
 // no blocking rescale gap has expired), backlog drains pop the queue lazily
-// and stop once no waiting job can place, skipping jobs that need at least
-// as many slots as one that just failed, and priority/gap comparisons run
-// on cached integer keys. The early-outs are
+// and stop once no waiting job can place, never popping jobs that need at
+// least as many slots as one that just failed (the queue keeps one heap per
+// slot need), and priority/gap comparisons run on cached integer keys. The early-outs are
 // decision-transparent — Config.FullRedistribute disables them, and the
 // equivalence tests pin incremental ≡ full across policies and workloads.
 // docs/ARCHITECTURE.md lists the invariants.

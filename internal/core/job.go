@@ -124,11 +124,10 @@ func (j *Job) CompletionTime() time.Duration {
 }
 
 // sortJobs sorts jobs in decreasing effective priority (Scheduler.before
-// order). The stable merge sort is kept deliberately: drained backlogs are
-// nearly sorted (a heapified sorted remainder plus a few fresh pushes), the
-// regime where the merge's insertion runs approach O(n) while a quicksort
-// still partitions. slices.SortStableFunc avoids the sort.Interface boxing
-// and method-value closure the previous implementation allocated per call.
+// order): the wait queue's snapshots (Queued, ExportState) and a restored
+// running set. Its inputs are partly ordered (heap arrays, an exported
+// sorted list), the regime where the stable merge sort's insertion runs
+// approach O(n); slices.SortStableFunc avoids sort.Interface boxing.
 func (s *Scheduler) sortJobs(jobs []*Job) {
 	if s.cfg.AgingRate > 0 {
 		slices.SortStableFunc(jobs, s.compare)

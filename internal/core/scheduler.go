@@ -148,8 +148,9 @@ type Config struct {
 //     a scan of the running set.
 //   - runMinSum = Σ running policy-minimums, maintained by
 //     insertRunning/removeRunning.
-//   - the queue counts its jobs per slot need exactly, so queue.minNeed is
-//     the smallest slot count any waiting job needs.
+//   - the queue keeps one heap per slot need, sorted by need, so
+//     queue.minNeed is the smallest slot count any waiting job needs, and a
+//     pop limited to the needs that can place never touches the others.
 //   - acts counts start, shrink, expand and preempt attempts, successful
 //     or not. A re-placement that fails with acts unchanged left the state
 //     as it found it, which lets a Reschedule drain settle every later job
@@ -263,13 +264,16 @@ func (s *Scheduler) VisitRunning(fn func(*Job) bool) {
 }
 
 // VisitQueued calls fn for each waiting job, stopping early when fn returns
-// false. Iteration order is the queue's internal heap order, not priority
-// order — use Queued when order matters. Like VisitRunning it does not copy,
-// and fn must not mutate the jobs or call back into scheduling methods.
+// false. Iteration order is the queue's internal order — its per-need heaps
+// in increasing need order, each in heap order — not priority order: use
+// Queued when order matters. Like VisitRunning it does not copy, and fn must
+// not mutate the jobs or call back into scheduling methods.
 func (s *Scheduler) VisitQueued(fn func(*Job) bool) {
-	for _, j := range s.queue.jobs {
-		if !fn(j) {
-			return
+	for _, h := range s.queue.heaps {
+		for _, j := range h.jobs {
+			if !fn(j) {
+				return
+			}
 		}
 	}
 }
@@ -310,7 +314,12 @@ func (s *Scheduler) effPriority(j *Job) float64 {
 // broken by earlier submission, then ID — a total and deterministic order.
 // Negative means a schedules ahead of b.
 func (s *Scheduler) compare(a, b *Job) int {
-	pa, pb := s.effPriority(a), s.effPriority(b)
+	return compareAt(a, s.effPriority(a), b, s.effPriority(b))
+}
+
+// compareAt is compare with the effective priorities given: pa for a, pb for
+// b.
+func compareAt(a *Job, pa float64, b *Job, pb float64) int {
 	switch {
 	case pa > pb:
 		return -1
@@ -540,11 +549,7 @@ func (s *Scheduler) submit(job *Job) {
 	minR, maxR := s.bounds(job)
 	overhead := s.cfg.JobOverheadSlots
 
-	// replicas = min(freeSlots - overhead, job.maxReplicas)
-	replicas := s.free - overhead
-	if replicas > maxR {
-		replicas = maxR
-	}
+	replicas := min(s.free-overhead, maxR)
 	if replicas >= minR {
 		if s.start(job, replicas) {
 			return
@@ -584,10 +589,7 @@ func (s *Scheduler) submit(job *Job) {
 		}
 		jmin, _ := s.bounds(j)
 		if j.Replicas > jmin {
-			newReplicas := j.Replicas - numToFree
-			if newReplicas < jmin {
-				newReplicas = jmin
-			}
+			newReplicas := max(j.Replicas-numToFree, jmin)
 			numToFree -= j.Replicas - newReplicas
 		}
 	}
@@ -617,10 +619,7 @@ func (s *Scheduler) submit(job *Job) {
 		}
 		jmin, _ := s.bounds(j)
 		if j.Replicas > jmin {
-			newReplicas := j.Replicas - maxToFree
-			if newReplicas < jmin {
-				newReplicas = jmin
-			}
+			newReplicas := max(j.Replicas-maxToFree, jmin)
 			oldReplicas := j.Replicas
 			if s.shrink(j, newReplicas) {
 				freed := oldReplicas - newReplicas
@@ -633,10 +632,7 @@ func (s *Scheduler) submit(job *Job) {
 		s.enqueue(job)
 		return
 	}
-	replicas = s.free - overhead
-	if replicas > maxR {
-		replicas = maxR
-	}
+	replicas = min(s.free-overhead, maxR)
 	if replicas < minR || !s.start(job, replicas) {
 		s.enqueue(job)
 	}
@@ -707,11 +703,15 @@ func (s *Scheduler) Kick() {
 // as no job left in it can change anything: none could start even if every
 // running job were shrunk to its minimum or preempted, or each needs at
 // least the slots of a job that just failed to place without touching the
-// cluster. A kick costs O((k + p) log n) for k distinct slot needs tried and
-// p placements, not a sort plus a placement walk per waiting job; a
-// saturated cluster pays O(1). Only FullRedistribute, the reference the
-// equivalence tests compare against, re-places every waiting job; both
-// paths log the same decisions, as a skipped job would have made none.
+// cluster. Jobs of such a need are never popped: the queue keeps one heap
+// per need and the drain pops only the heaps below that need. Each pop costs
+// O(k + log n) for k distinct slot needs, and a kick pops only the jobs it
+// re-places plus, when an act resets the frontier, the blocked jobs ranked
+// ahead of the acting one — not a sort plus a placement walk per waiting
+// job; a saturated cluster pays O(1).
+// Only FullRedistribute, the reference the equivalence tests compare
+// against, re-places every waiting job; both paths log the same decisions,
+// as a skipped job would have made none.
 func (s *Scheduler) Reschedule() {
 	s.refresh()
 	if s.queue.Len() > 0 {
@@ -727,15 +727,21 @@ func (s *Scheduler) Reschedule() {
 //
 // Outside FullRedistribute the drain settles jobs without running submit.
 // frontier is the smallest need whose re-placement failed with acts
-// unchanged, so the cluster as it stands could not place it. A
-// later pop has lower or equal priority, and each step of submit is monotone
-// in (priority ↓, need ↑): the free-slot start check; the free + maxFreeable
+// unchanged, so the cluster as it stands could not place it. A later pop
+// has lower or equal priority, and each step of submit is monotone in
+// (priority ↓, need ↑): the free-slot start check; the free + maxFreeable
 // gate; the feasibility walk, which sums gap-eligible running jobs of
 // priority at most the job's; and tryPreempt's candidates, the running jobs
 // of strictly lower priority. So until acts moves, a job needing frontier or
-// more slots fails the same way without acting, and enqueue alone
-// reproduces its outcome. Once settled holds, the rest stay queued
-// untouched.
+// more slots would fail the same way without acting: the drain pops only
+// the heaps of need below frontier and leaves the rest queued untouched.
+//
+// When an act resets the frontier, the jobs left in those heaps that rank
+// ahead of the acting job are parked: a drain down one priority-ordered
+// heap would have popped them before it and queued them again, so they are
+// not tried again in this kick. The comparison ranks the acting job as it
+// was popped — a job that starts stops aging. Once settled holds, the rest
+// stay queued untouched.
 func (s *Scheduler) rescheduleQueue() {
 	if s.cfg.AgingRate > 0 {
 		// Pops must follow compare at this instant, and preempted jobs do
@@ -748,17 +754,17 @@ func (s *Scheduler) rescheduleQueue() {
 		return // a saturated cluster's kick: O(1)
 	}
 	s.queue.park()
-	for s.queue.Len() > 0 && !(gated && s.settled(frontier)) {
-		j := s.queue.pop()
-		need := s.jobNeed(j)
-		if need >= frontier {
-			s.enqueue(j)
-			continue
+	for !(gated && s.settled(frontier)) {
+		h := s.queue.best(frontier)
+		if h == nil {
+			break
 		}
-		acts := s.acts
+		j := s.queue.take(h)
+		need, p, acts := h.need, s.effPriority(j), s.acts
 		s.submit(j)
 		switch {
 		case s.acts != acts:
+			s.queue.parkAhead(frontier, j, p)
 			frontier = maxSlotNeed
 		case gated:
 			frontier = need
@@ -767,11 +773,12 @@ func (s *Scheduler) rescheduleQueue() {
 	s.queue.unpark()
 }
 
-// settled reports whether re-placing the jobs left in the heap would change
+// settled reports whether re-placing the jobs left in the heaps would change
 // nothing: each needs at least frontier slots, or each needs more than
 // free + maxFreeable and — with preemption, where that bound is the whole
-// capacity — none outranks the lowest running job, so tryPreempt finds no
-// victim for any of them.
+// capacity — none needing fewer than frontier slots outranks the lowest
+// running job, so tryPreempt finds no victim for any of them. Jobs of
+// frontier need or more are settled by the frontier whatever their rank.
 func (s *Scheduler) settled(frontier int) bool {
 	least := s.queue.minNeed()
 	switch {
@@ -782,7 +789,7 @@ func (s *Scheduler) settled(frontier int) bool {
 	case !s.cfg.EnablePreemption || len(s.running) == 0:
 		return true
 	}
-	return s.effPriority(s.running[len(s.running)-1]) >= s.effPriority(s.queue.peek())
+	return s.effPriority(s.running[len(s.running)-1]) >= s.effPriority(s.queue.best(frontier).jobs[0])
 }
 
 // maxFreeable is an upper bound on the worker slots a submission could free
@@ -829,9 +836,12 @@ func (s *Scheduler) NextGapExpiry() (at time.Time, ok bool) {
 
 // redistribute walks all running and queued jobs in decreasing priority
 // order, growing each below-max job as far as free slots allow (Figure 3).
-// The running snapshot and the queue heap are merged lazily, and a backlog
-// whose smallest slot requirement exceeds the free capacity is skipped
-// without being scanned at all.
+// The running snapshot and the queue's heaps are merged lazily, and only the
+// heaps whose need fits the free slots take part: free only falls during the
+// pass, so a job that does not fit when its turn comes never will, and
+// popping it would change nothing. Without StrictFCFS a pass pops only the
+// jobs it tries to start; a backlog whose smallest need exceeds the free
+// capacity is not touched at all.
 //
 // Two early-outs make the pass incremental (FullRedistribute disables
 // both; both are decision-transparent, see the equivalence tests):
@@ -859,7 +869,8 @@ func (s *Scheduler) redistribute() {
 	}
 	run := append(s.runScratch[:0], s.running...)
 	s.runScratch = run
-	overhead := s.cfg.JobOverheadSlots
+	// popped holds the jobs whose start failed, kept out of the heaps until
+	// the pass ends.
 	popped := s.popScratch[:0]
 	// Track what could invalidate a clean skip of the next pass: the
 	// earliest gap expiry among blocked expansions (Unix ns, 0 = none),
@@ -869,17 +880,18 @@ func (s *Scheduler) redistribute() {
 	attemptFailed := false
 	ri := 0
 	for s.free > 0 {
-		takeQueue := false
-		// Once not even the smallest need left in the heap (jobNeed includes
-		// the per-job overhead) fits the free slots — and out-of-order
-		// allocation is on, so skipped jobs gate nothing — the rest of the
-		// backlog cannot place a job and is left in the heap.
-		if s.queue.Len() > 0 && (s.cfg.StrictFCFS || s.free >= s.queue.minNeed()) {
-			takeQueue = ri >= len(run) || s.before(s.queue.peek(), run[ri])
-		} else if ri >= len(run) {
+		// jobNeed includes the per-job overhead, so a heap of need ≤ free
+		// holds jobs that fit. StrictFCFS looks at the head whatever its
+		// need: a head that does not fit ends the pass.
+		limit := s.free + 1
+		if s.cfg.StrictFCFS {
+			limit = maxSlotNeed
+		}
+		h := s.queue.best(limit)
+		if h == nil && ri >= len(run) {
 			break
 		}
-		if !takeQueue {
+		if h == nil || (ri < len(run) && !s.before(h.jobs[0], run[ri])) {
 			j := run[ri]
 			ri++
 			jmin, jmax := s.bounds(j)
@@ -892,10 +904,7 @@ func (s *Scheduler) redistribute() {
 				continue
 			}
 			if j.Replicas < jmax {
-				add := jmax - j.Replicas
-				if add > s.free {
-					add = s.free
-				}
+				add := min(jmax-j.Replicas, s.free)
 				if j.Replicas+add >= jmin && add > 0 {
 					if !s.expand(j, j.Replicas+add) {
 						attemptFailed = true
@@ -904,27 +913,18 @@ func (s *Scheduler) redistribute() {
 			}
 			continue
 		}
-		j := s.queue.pop()
-		jmin, jmax := s.bounds(j)
-		avail := s.free - overhead
-		if avail < jmin {
-			popped = append(popped, j)
-			if s.cfg.StrictFCFS {
-				break // no backfilling past the queue head
-			}
-			continue
+		if h.need > s.free {
+			break // StrictFCFS: no backfilling past a head that does not fit
 		}
-		replicas := avail
-		if replicas > jmax {
-			replicas = jmax
-		}
-		if !s.start(j, replicas) {
+		j := s.queue.take(h)
+		_, jmax := s.bounds(j)
+		if !s.start(j, min(s.free-s.cfg.JobOverheadSlots, jmax)) {
 			attemptFailed = true
 			popped = append(popped, j)
 		}
 	}
-	if len(popped) > 0 {
-		s.queue.bulkAdd(popped)
+	for _, j := range popped {
+		s.queue.push(j)
 	}
 	s.popScratch = popped[:0]
 	clear(popped)

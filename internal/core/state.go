@@ -143,7 +143,9 @@ func (s *Scheduler) RestoreState(st SchedulerState) error {
 	s.sortJobs(s.running) // exported order is already sorted; re-sorting is cheap insurance
 	s.runMinSum = runMinSum
 	s.queue.reset()
-	s.queue.bulkAdd(queued)
+	for _, j := range queued {
+		s.queue.push(j)
+	}
 	s.clean = false
 	s.cleanUntilNs = 0
 	s.reclaiming = false

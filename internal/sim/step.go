@@ -149,8 +149,9 @@ func (s *Simulator) CountQueued(counts *[model.XLarge + 1]int) {
 // AppendQueued appends a snapshot of the waiting queue (queued and
 // checkpoint-preempted jobs) to dst and returns the extended slice, so a
 // coordinator can reuse one buffer across rounds. Jobs come in the
-// scheduler's internal heap order — deterministic for a deterministic run,
-// but not sorted; coordinators impose their own order.
+// scheduler's internal order (core.Scheduler.VisitQueued: per-need heaps by
+// need, each in heap order) — deterministic for a deterministic run, but not
+// sorted; coordinators impose their own order.
 func (s *Simulator) AppendQueued(dst []QueuedJob) []QueuedJob {
 	s.sched.VisitQueued(func(j *core.Job) bool {
 		sj := s.byRef[j.Ref]
