@@ -392,7 +392,9 @@ type (
 	FederationRoute = federation.Route
 	// FederationMember is a pluggable federation backend: the router reads
 	// its hardware (capacity, machine model, availability trace) and the
-	// fleet runs its sub-workload through it.
+	// fleet runs its sub-workload through its Run, which returns the
+	// member's result and its scheduler's decision log (nil unless the
+	// backend logs decisions).
 	FederationMember = federation.Member
 	// FederationRebalance configures the fleet-level checkpoint-migrating
 	// rebalancer; the zero value disables it.

@@ -153,8 +153,9 @@ func matrixScenarios(seed int64) ([]Scenario, error) {
 // streaming vs retained, every shard width vs sequential — logged decision
 // streams and bit-exact result summaries), the aging+preemption extension
 // cells, federation cells (sequential vs parallel vs repeated, rebalance
-// off and on, per route × policy, with member decision streams), and
-// cluster-emulation repeat-determinism cells.
+// off and on, per route × policy, with member decision streams), zero-move
+// rebalanced fleets against the batch fleet, and cluster-emulation
+// repeat-determinism cells.
 func Cases(opt MatrixOptions) []Case {
 	var cases []Case
 	for _, seed := range opt.Seeds {
@@ -173,6 +174,7 @@ func Cases(opt MatrixOptions) []Case {
 			for _, rebalance := range []bool{false, true} {
 				cases = append(cases, federationCase(opt, route, p, rebalance))
 			}
+			cases = append(cases, zeroMoveCase(opt, route, p))
 		}
 	}
 	if opt.Cluster {
@@ -410,6 +412,41 @@ func federationCase(opt MatrixOptions, route federation.Route, p core.Policy, re
 			fails = check(fails, opt, name, cand.name, ref, got)
 		}
 		return fails, nil
+	}}
+}
+
+// zeroMoveCase pins the stepping API to the batch path through the fleet:
+// the federation cells' fleet without its trace, under a rebalancer that can
+// never find a donor (no capacity drops, and a backlog threshold no member
+// can exceed), steps its members in 300 s rounds and moves nothing, so
+// every member decision stream, bit-exact member summary, and the fleet
+// summary must equal the batch fleet's. Only the round count differs.
+func zeroMoveCase(opt MatrixOptions, route federation.Route, p core.Policy) Case {
+	name := fmt.Sprintf("federation/%s/%s/zero-move", route, p)
+	return Case{Name: name, Run: func() ([]Failure, error) {
+		w, err := workload.Burst{Waves: 6, PerWave: 16, WaveGap: 1200}.Generate(3)
+		if err != nil {
+			return nil, err
+		}
+		cfg := federationFleet(p, route, false)
+		cfg.Members[2].Availability = workload.AvailabilityTrace{}
+		ref, err := RecordFederation(cfg, w)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Rebalance = federation.RebalanceConfig{Every: 300, Threshold: 1e9}
+		got, err := RecordFederation(cfg, w)
+		if err != nil {
+			return nil, err
+		}
+		if n := len(got.Migrations); n != 0 {
+			return nil, fmt.Errorf("zero-move fleet migrated %d jobs", n)
+		}
+		if got.Summary.RebalanceRounds == 0 {
+			return nil, fmt.Errorf("zero-move fleet ran no rebalance rounds")
+		}
+		got.Summary.RebalanceRounds = 0
+		return check(nil, opt, name, "stepped", ref, got), nil
 	}}
 }
 

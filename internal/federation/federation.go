@@ -172,31 +172,44 @@ func (r Result) fleetView() sim.Result {
 	}
 }
 
-// Run partitions the workload across the member clusters, simulates every
+// Run partitions the workload across the member clusters, runs every
 // member on the sim.RunTasks worker pool, and aggregates. The partition is
-// sequential and deterministic, member runs are independent, and members are
-// folded in index order, so parallel execution is bit-identical to
-// cfg.Workers == 1. With Config.Rebalance enabled the members instead
-// co-simulate in barrier-synchronized rounds between which the rebalancer
-// checkpoint-migrates jobs (see migrate.go) — still deterministic and still
-// bit-identical across worker counts.
+// sequential and deterministic, and members are folded in index order. The
+// only branch is how members advance: without rebalancing each runs its
+// partition independently through Member.Run (sharded SimMembers and
+// ClusterMembers included); with Config.Rebalance enabled the members are
+// steppers that co-simulate in barrier-synchronized rounds between which
+// the rebalancer checkpoint-migrates jobs (see migrate.go). Either way the
+// result is bit-identical at every cfg.Workers.
 func Run(cfg Config, w sim.Workload) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
-	}
-	if cfg.Rebalance.enabled() {
-		return runRebalanced(cfg, w)
 	}
 	parts, _, err := Partition(cfg, w)
 	if err != nil {
 		return Result{}, err
 	}
 	backends := cfg.backends()
+	counts := make([]int, len(parts))
+	for i := range parts {
+		counts[i] = len(parts[i].Jobs)
+	}
+	finish := func(i int) (sim.Result, []core.Decision, error) { return backends[i].Run(parts[i]) }
+	var r *rebal
+	if cfg.Rebalance.enabled() {
+		if r, err = newRebal(cfg.Rebalance, backends, parts, counts); err != nil {
+			return Result{}, err
+		}
+		if err := r.advance(cfg.Workers); err != nil {
+			return Result{}, err
+		}
+		finish = r.finish
+	}
 	members := make([]sim.Result, len(parts))
 	decs := make([][]core.Decision, len(parts))
 	err = sim.RunTasks(len(parts), cfg.Workers, func(i int) error {
-		res, dec, err := runMember(backends[i], parts[i])
+		res, dec, err := finish(i)
 		if err != nil {
 			return fmt.Errorf("federation: member %d: %w", i, err)
 		}
@@ -206,12 +219,12 @@ func Run(cfg Config, w sim.Workload) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	counts := make([]int, len(parts))
-	for i := range parts {
-		counts[i] = len(parts[i].Jobs)
-	}
 	res := aggregate(cfg, backends, counts, members)
 	res.MemberDecisions = memberDecisions(decs)
+	if r != nil {
+		res.Migrations = r.migs
+		res.RebalanceRounds = r.rounds
+	}
 	return res, nil
 }
 

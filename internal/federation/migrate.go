@@ -110,9 +110,9 @@ type memberState struct {
 	snapped bool
 }
 
-// rebal is one rebalanced run's coordinator: the members, the per-run
-// constants (specs, machines), and per-member state reused round after
-// round, so a round that moves nothing allocates nothing.
+// rebal is one rebalanced run's coordinator: the member steppers, the
+// per-run constants (specs, machines), and per-member state reused round
+// after round, so a round that moves nothing allocates nothing.
 type rebal struct {
 	rb       RebalanceConfig
 	backends []Member
@@ -122,58 +122,49 @@ type rebal struct {
 	states   []memberState
 	counts   []int // jobs per member, following every migration
 	migs     []Migration
+	rounds   int
 	// evicted and seen are a draining donor's phase-2 scratch.
 	evicted []sim.QueuedJob
 	seen    map[int32]bool
 }
 
-func newRebal(rb RebalanceConfig, backends []Member, sims []*sim.Simulator, counts []int) *rebal {
+// newRebal builds one stepper per member and installs its partition. Only
+// steppable (simulator-backed) members can rebalance.
+func newRebal(rb RebalanceConfig, backends []Member, parts []sim.Workload, counts []int) (*rebal, error) {
 	r := &rebal{
-		rb: rb, backends: backends, sims: sims, counts: counts,
+		rb: rb, backends: backends, counts: counts,
 		specs:    model.Specs(),
-		machines: make([]model.Machine, len(sims)),
-		states:   make([]memberState, len(sims)),
+		sims:     make([]*sim.Simulator, len(backends)),
+		machines: make([]model.Machine, len(backends)),
+		states:   make([]memberState, len(backends)),
 		seen:     map[int32]bool{},
 	}
 	for i, b := range backends {
-		r.machines[i] = b.Machine()
-	}
-	return r
-}
-
-// runRebalanced is the rebalancing twin of Run: co-simulate the members in
-// rounds of Config.Rebalance.Every seconds, migrating jobs at each barrier.
-func runRebalanced(cfg Config, w sim.Workload) (Result, error) {
-	backends := cfg.backends()
-	parts, _, err := Partition(cfg, w)
-	if err != nil {
-		return Result{}, err
-	}
-	n := len(backends)
-	sims := make([]*sim.Simulator, n)
-	for i, b := range backends {
 		sb, ok := b.(stepBackend)
 		if !ok {
-			return Result{}, fmt.Errorf("federation: member %d (%T) cannot rebalance: only simulator-backed members are steppable", i, b)
+			return nil, fmt.Errorf("federation: member %d (%T) cannot rebalance: only simulator-backed members are steppable", i, b)
 		}
 		s, err := sb.newStepper()
 		if err != nil {
-			return Result{}, fmt.Errorf("federation: member %d: %w", i, err)
+			return nil, fmt.Errorf("federation: member %d: %w", i, err)
 		}
 		if err := s.Begin(parts[i]); err != nil {
-			return Result{}, fmt.Errorf("federation: member %d: %w", i, err)
+			return nil, fmt.Errorf("federation: member %d: %w", i, err)
 		}
-		sims[i] = s
+		r.sims[i] = s
+		r.machines[i] = b.Machine()
 	}
-	counts := make([]int, n)
-	for i := range parts {
-		counts[i] = len(parts[i].Jobs)
-	}
+	return r, nil
+}
 
-	rb := cfg.Rebalance
-	r := newRebal(rb, backends, sims, counts)
-	rounds, stagnant := 0, 0
-	t := rb.Every
+// advance co-simulates the members in rounds of rb.Every seconds until the
+// whole fleet has drained, migrating jobs at each barrier. Finish then
+// collects each member's result.
+func (r *rebal) advance(workers int) error {
+	sims, every := r.sims, r.rb.Every
+	// t is declared outside the loop: the barrier closure captures it, and
+	// a per-iteration loop variable would cost one allocation per round.
+	stagnant, t := 0, every
 	for {
 		before := 0
 		for _, s := range sims {
@@ -182,12 +173,12 @@ func runRebalanced(cfg Config, w sim.Workload) (Result, error) {
 		// Barrier: every member advances to t on the worker pool. Members
 		// are independent between barriers, so this is bit-identical to
 		// advancing them one by one.
-		if err := sim.RunTasks(n, cfg.Workers, func(i int) error {
+		if err := sim.RunTasks(len(sims), workers, func(i int) error {
 			return sims[i].StepTo(t)
 		}); err != nil {
-			return Result{}, err
+			return err
 		}
-		rounds++
+		r.rounds++
 		drained := true
 		for _, s := range sims {
 			if !s.Drained() {
@@ -196,11 +187,11 @@ func runRebalanced(cfg Config, w sim.Workload) (Result, error) {
 			}
 		}
 		if drained {
-			break
+			return nil
 		}
-		moved, err := r.rebalanceRound(t, rounds)
+		moved, err := r.rebalanceRound(t, r.rounds)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 		after := 0
 		for _, s := range sims {
@@ -209,7 +200,7 @@ func runRebalanced(cfg Config, w sim.Workload) (Result, error) {
 		if after == before && moved == 0 {
 			stagnant++
 			if stagnant > maxStagnantRounds {
-				return Result{}, fmt.Errorf("federation: rebalancer stalled at t=%.1f after %d rounds", t, rounds)
+				return fmt.Errorf("federation: rebalancer stalled at t=%.1f after %d rounds", t, r.rounds)
 			}
 		} else {
 			stagnant = 0
@@ -217,30 +208,18 @@ func runRebalanced(cfg Config, w sim.Workload) (Result, error) {
 		// Fleet fully idle with submissions still ahead: fast-forward the
 		// round clock onto the Every-grid point just before the next
 		// arrival instead of spinning through empty rounds.
-		if next, ok := fleetNextSubmit(sims); ok && fleetIdle(sims) && next >= t+rb.Every {
-			t += math.Floor((next-t)/rb.Every) * rb.Every
+		if next, ok := fleetNextSubmit(sims); ok && fleetIdle(sims) && next >= t+every {
+			t += math.Floor((next-t)/every) * every
 		}
-		t += rb.Every
+		t += every
 	}
+}
 
-	members := make([]sim.Result, n)
-	decs := make([][]core.Decision, n)
-	err = sim.RunTasks(n, cfg.Workers, func(i int) error {
-		res, err := sims[i].Finish()
-		if err != nil {
-			return fmt.Errorf("federation: member %d: %w", i, err)
-		}
-		members[i], decs[i] = res, sims[i].Decisions()
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	res := aggregate(cfg, backends, counts, members)
-	res.Migrations = r.migs
-	res.RebalanceRounds = rounds
-	res.MemberDecisions = memberDecisions(decs)
-	return res, nil
+// finish drains member i's stepper and returns its result and decision
+// log — the rebalanced counterpart of Member.Run.
+func (r *rebal) finish(i int) (sim.Result, []core.Decision, error) {
+	res, err := r.sims[i].Finish()
+	return res, r.sims[i].Decisions(), err
 }
 
 func fleetIdle(sims []*sim.Simulator) bool {

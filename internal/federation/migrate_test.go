@@ -444,18 +444,12 @@ func TestZeroMoveRoundDoesNotAllocate(t *testing.T) {
 		})
 	}
 	backends := []Member{NewSimMember(big), NewSimMember(small)}
-	sims := make([]*sim.Simulator, 2)
-	for i, w := range []sim.Workload{w0, w1} {
-		s, err := sim.New([]sim.Config{big, small}[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Begin(w); err != nil {
-			t.Fatal(err)
-		}
-		sims[i] = s
+	r, err := newRebal(RebalanceConfig{Every: 300}.withDefaults(), backends,
+		[]sim.Workload{w0, w1}, []int{len(w0.Jobs), len(w1.Jobs)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := newRebal(RebalanceConfig{Every: 300}.withDefaults(), backends, sims, []int{len(w0.Jobs), len(w1.Jobs)})
+	sims := r.sims
 	round := 0
 	for at := 300.0; at <= 1200; at += 300 {
 		for _, s := range sims {

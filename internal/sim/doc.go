@@ -27,5 +27,9 @@
 // apply before completions and kicks; ties within each class keep trace,
 // workload, and push order respectively. Streaming and retained runs
 // accumulate their aggregates through the identical call sequence and agree
-// bit-for-bit, as do sequential and parallel sweep executions.
+// bit-for-bit, as do sequential and parallel sweep executions. There is one
+// sequential loop: Run is Begin followed by Finish, so a stepped run
+// (Begin → StepTo… → Finish) without coordinator mutations returns the
+// batch Result bit for bit, and the sharded mode's merge ends in the same
+// collect.
 package sim

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"elastichpc/internal/core"
-)
+import "elastichpc/internal/core"
 
 // The sharded mode's merge must reproduce the sequential Result bit for
 // bit, and floating-point addition is not associative: summing each shard's
@@ -70,11 +66,12 @@ func (s *Simulator) seal() {
 
 // mergeSegments folds the reconciled segments — each a simulator that ran a
 // half-open stretch of the timeline bounded by fully drained instants —
-// into the facade simulator's accumulators and derives the Result. Segment
-// order is epoch order, so the seal replay is the sequential fold. The
-// first segment is the live chain's root, which keeps no log: its own
-// totals are exactly what replaying its seals into zero would give, so
-// they seed the fold and only segs[1:] replay.
+// into the facade simulator's accumulators, then derives the Result through
+// the same collect as a sequential run. Segment order is epoch order, so
+// the seal replay is the sequential fold. The first segment is the live
+// chain's root, which keeps no log: its own totals are exactly what
+// replaying its seals into zero would give, so they seed the fold and only
+// segs[1:] replay.
 func (s *Simulator) mergeSegments(w Workload, segs []*Simulator) (Result, error) {
 	first := segs[0]
 	s.utilArea, s.wSum, s.wResp, s.wComp = first.utilArea, first.wSum, first.wResp, first.wComp
@@ -114,8 +111,8 @@ func (s *Simulator) mergeSegments(w Workload, segs []*Simulator) (Result, error)
 	// Unsealed tails: every non-final segment ends at an adopted boundary
 	// (drained, so freshly sealed — its open subs are exactly zero), and the
 	// final segment's last completion drains the cluster too. The final
-	// segment's subs are still carried over so the derivation below matches
-	// the sequential run's final fold position even in degenerate cases.
+	// segment's subs are still carried over so the derivation matches the
+	// sequential run's final fold position even in degenerate cases.
 	last := segs[len(segs)-1]
 	s.utilSub, s.finWSub, s.finRespSub, s.finCompSub = last.utilSub, last.finWSub, last.finRespSub, last.finCompSub
 	s.ovhSub, s.lostSub = last.ovhSub, last.lostSub
@@ -128,35 +125,5 @@ func (s *Simulator) mergeSegments(w Workload, segs []*Simulator) (Result, error)
 		}
 		s.mergedDecisions, s.mergedDropped = core.MergeLogs(dropped, logs...)
 	}
-	if s.completed != len(w.Jobs) {
-		for _, sg := range segs {
-			for _, sj := range sg.byRef {
-				if sj.job.State != core.StateCompleted {
-					return Result{Policy: s.cfg.Policy},
-						fmt.Errorf("sim: job %s ended in state %v", sj.job.ID, sj.job.State)
-				}
-			}
-		}
-		return Result{Policy: s.cfg.Policy},
-			fmt.Errorf("sim: %d of %d jobs completed", s.completed, len(w.Jobs))
-	}
-	res := s.resultFromTotals(cs, last.sched.Capacity())
-	if !s.cfg.Streaming {
-		// Every job lives entirely inside one segment (segments are
-		// bounded by drained instants), so the retained records merge by
-		// concatenation in segment order.
-		res.Jobs = make([]JobMetrics, len(w.Jobs))
-		res.ReplicaTimelines = make(map[string][]ReplicaSample, len(w.Jobs))
-		var tl []UtilSample
-		for _, sg := range segs {
-			tl = append(tl, sg.utilTL...)
-			for _, sj := range sg.byRef {
-				c := &sg.cold[sj.ref]
-				res.Jobs[sj.widx] = c.meta
-				res.ReplicaTimelines[c.meta.ID] = c.timeline
-			}
-		}
-		res.UtilTimeline = tl
-	}
-	return res, nil
+	return s.collect(w, segs, cs, last.sched.Capacity())
 }

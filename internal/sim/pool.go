@@ -97,7 +97,9 @@ func (h *eventHeap) pop() (evKey, evPayload) {
 // the error of the lowest-indexed failing task (so the reported failure does
 // not depend on goroutine scheduling). workers <= 0 means runtime.NumCPU();
 // workers == 1 runs sequentially in the calling goroutine, which is the
-// reference path parallel runs must match bit-for-bit.
+// reference path parallel runs must match bit-for-bit. Otherwise the calling
+// goroutine works as one of the workers, so a call starts workers-1
+// goroutines (the federation rebalancer calls it once per round).
 //
 // Tasks must be independent and deterministic in their index: each task
 // derives everything it needs (RNG seed included) from i, never from shared
@@ -123,20 +125,24 @@ func RunTasks(n, workers int, task func(i int) error) error {
 
 	errs := make([]error, n)
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			errs[i] = task(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = task(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -252,6 +252,9 @@ func (s *Simulator) boundaryIdle() bool {
 // reconcile sequentially, merge exactly. See the package comment above for
 // why the result is bit-identical to the sequential loop.
 func (s *Simulator) runSharded(w Workload) (Result, error) {
+	if err := s.cfg.Availability.Validate(); err != nil {
+		return Result{}, err
+	}
 	order := submissionOrder(w)
 	ranks := submissionRanks(w, order)
 	specs := model.Specs()
@@ -260,13 +263,10 @@ func (s *Simulator) runSharded(w Workload) (Result, error) {
 		plans = planEpochs(s.cfg, w, order)
 	}
 	if len(plans) == 1 {
-		// No usable cut: run the plain sequential loop in place.
-		s.prepare(w, order, ranks, specs,
-			0, len(w.Jobs), 0, len(s.cfg.Availability.Events), math.Inf(1), true)
-		if err := s.runWindow(); err != nil {
-			return Result{}, err
-		}
-		return s.collect(w)
+		// No usable cut: run the plain sequential loop in place (Begin's
+		// empty window, then Finish).
+		s.prepare(w, order, ranks, specs, 0, 0, 0, 0, 0, false)
+		return s.Finish()
 	}
 
 	sims := make([]*Simulator, len(plans))

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -421,23 +420,18 @@ func (s *Simulator) push(at float64, kind evKind, job *simJob, seq int64) {
 // and a submission at the same instant always see the drop land before the
 // job is placed, and replaying the same trace is bit-for-bit reproducible.
 //
-// With Config.Shards > 1 the run executes in the sharded mode (see
-// shard.go); decisions and the Result are bit-identical to the sequential
-// mode either way.
+// The sequential run is the stepping API with no steps: Begin, then Finish
+// (see step.go). With Config.Shards > 1 the run executes in the sharded mode
+// (see shard.go); decisions and the Result are bit-identical to the
+// sequential mode either way.
 func (s *Simulator) Run(w Workload) (Result, error) {
-	if err := s.cfg.Availability.Validate(); err != nil {
-		return Result{}, err
-	}
 	if s.cfg.Shards > 1 {
 		return s.runSharded(w)
 	}
-	order := submissionOrder(w)
-	s.prepare(w, order, submissionRanks(w, order), model.Specs(),
-		0, len(w.Jobs), 0, len(s.cfg.Availability.Events), math.Inf(1), true)
-	if err := s.runWindow(); err != nil {
+	if err := s.Begin(w); err != nil {
 		return Result{}, err
 	}
-	return s.collect(w)
+	return s.Finish()
 }
 
 // submissionOrder returns the workload's indices in stable submission-time
@@ -930,24 +924,47 @@ func (a *simActuator) PreemptJob(j *core.Job) error {
 	return nil
 }
 
-// resultFromTotals derives the aggregate Result fields from the simulator's
-// accumulated integrals. After a sharded run the facade simulator holds the
-// replayed (exactly sequential) fold of every segment's terms, so both modes
-// share this derivation bit-for-bit. cs and endCap come from the owning
-// scheduler (sequential) or the segment merge (sharded).
-func (s *Simulator) resultFromTotals(cs core.CapacityStats, endCap int) Result {
+// collect checks that every job completed and derives the Result from the
+// simulator's accumulated totals — those of one sequential run (batch or
+// stepped), or the replayed, exactly sequential fold of a sharded run's
+// segments (see mergeSegments), so every mode shares this derivation bit
+// for bit. segs are the simulators that hold the jobs, in timeline order
+// (just s itself for a sequential run); cs and endCap are the capacity
+// statistics and the capacity in force at the end. The expected completion
+// count is the workload's job count adjusted by the stepping API's
+// migration counters (jobs injected from, or withdrawn to, other federation
+// members) — both zero outside a rebalanced fleet.
+func (s *Simulator) collect(w Workload, segs []*Simulator, cs core.CapacityStats, endCap int) (Result, error) {
+	expected := len(w.Jobs) + s.injected - s.withdrawn
+	if s.completed != expected {
+		for _, sg := range segs {
+			for _, sj := range sg.byRef {
+				if st := sj.job.State; st != core.StateCompleted && st != core.StateWithdrawn {
+					return Result{Policy: s.cfg.Policy}, fmt.Errorf("sim: job %s ended in state %v", sj.job.ID, st)
+				}
+			}
+		}
+		return Result{Policy: s.cfg.Policy}, fmt.Errorf("sim: %d of %d jobs completed", s.completed, expected)
+	}
 	// Fold any unsealed tail first. After a batch run this adds exact zeros
 	// (the last completion drained the cluster and sealed), so it is a
 	// bitwise no-op there; stepping-API runs that end without a final
 	// completion (withdrawals) land their open sub-runs here.
 	s.seal()
-	res := Result{Policy: s.cfg.Policy}
-	res.TotalTime = s.lastEnd - s.firstStart
-	res.FirstStart = s.firstStart
-	res.LastEnd = s.lastEnd
-	res.UsedSlotSec = s.utilArea
-	res.WeightSum = s.wSum
-	res.EndCapacity = endCap
+	res := Result{
+		Policy:         s.cfg.Policy,
+		TotalTime:      s.lastEnd - s.firstStart,
+		FirstStart:     s.firstStart,
+		LastEnd:        s.lastEnd,
+		UsedSlotSec:    s.utilArea,
+		WeightSum:      s.wSum,
+		EndCapacity:    endCap,
+		CapacityEvents: s.capEvents,
+		ForcedShrinks:  cs.ForcedShrinks,
+		Requeues:       cs.Requeues,
+		WorkLostSec:    s.workLost,
+		GoodputFrac:    1,
+	}
 	// Utilization over the experiment window [0, lastEnd]: no work happens
 	// after the last completion, so the accumulated area is complete. With
 	// availability events the denominator is the capacity the cluster
@@ -965,67 +982,51 @@ func (s *Simulator) resultFromTotals(cs core.CapacityStats, endCap int) Result {
 		res.WeightedResponse = s.wResp / s.wSum
 		res.WeightedCompletion = s.wComp / s.wSum
 	}
-	res.CapacityEvents = s.capEvents
-	res.ForcedShrinks = cs.ForcedShrinks
-	res.Requeues = cs.Requeues
-	res.WorkLostSec = s.workLost
-	res.GoodputFrac = 1
 	if s.utilArea > 0 {
 		res.GoodputFrac = 1 - s.overheadArea/s.utilArea
 	}
-	return res
-}
-
-// collect finalizes the metrics accumulated during a sequential run. The
-// expected completion count is the workload's job count adjusted by the
-// stepping API's migration counters (jobs injected from, or withdrawn to,
-// other federation members) — both zero on the batch path.
-func (s *Simulator) collect(w Workload) (Result, error) {
-	expected := len(w.Jobs) + s.injected - s.withdrawn
-	if s.completed != expected {
-		for _, sj := range s.byRef {
-			if st := sj.job.State; st != core.StateCompleted && st != core.StateWithdrawn {
-				return Result{Policy: s.cfg.Policy}, fmt.Errorf("sim: job %s ended in state %v", sj.job.ID, st)
-			}
-		}
-		return Result{Policy: s.cfg.Policy}, fmt.Errorf("sim: %d of %d jobs completed", s.completed, expected)
+	if s.cfg.Streaming {
+		return res, nil
 	}
-	res := s.resultFromTotals(s.sched.CapacityStats(), s.sched.Capacity())
-	if !s.cfg.Streaming {
-		res.UtilTimeline = s.utilTL
-		if s.injected == 0 && s.withdrawn == 0 {
-			// Retained mode never recycles slots, so byRef holds every job;
-			// widx places each record back in workload order.
-			res.Jobs = make([]JobMetrics, len(w.Jobs))
-			res.ReplicaTimelines = make(map[string][]ReplicaSample, len(w.Jobs))
-			for i, sj := range s.byRef {
-				c := &s.cold[i]
+	// Retained mode never recycles slots, so the segments' byRef directories
+	// hold every job, and every job lives entirely inside one segment
+	// (segments are bounded by drained instants): the timelines concatenate
+	// in segment order, and widx places each record back in workload order.
+	res.UtilTimeline = segs[0].utilTL
+	for _, sg := range segs[1:] {
+		res.UtilTimeline = append(res.UtilTimeline, sg.utilTL...)
+	}
+	res.ReplicaTimelines = make(map[string][]ReplicaSample, s.completed)
+	if s.injected == 0 && s.withdrawn == 0 {
+		res.Jobs = make([]JobMetrics, len(w.Jobs))
+		for _, sg := range segs {
+			for i, sj := range sg.byRef {
+				c := &sg.cold[i]
 				res.Jobs[sj.widx] = c.meta
 				res.ReplicaTimelines[c.meta.ID] = c.timeline
 			}
-		} else {
-			// Migration reshaped the job set: workload indices no longer
-			// cover it (injected jobs carry widx -1, withdrawn slots never
-			// completed), so gather the jobs that completed here and order
-			// them deterministically by (SubmitAt, ID).
-			res.Jobs = make([]JobMetrics, 0, s.completed)
-			res.ReplicaTimelines = make(map[string][]ReplicaSample, s.completed)
-			for i, sj := range s.byRef {
-				if sj.job.State != core.StateCompleted {
-					continue
-				}
-				c := &s.cold[i]
-				res.Jobs = append(res.Jobs, c.meta)
-				res.ReplicaTimelines[c.meta.ID] = c.timeline
-			}
-			sort.Slice(res.Jobs, func(a, b int) bool {
-				if res.Jobs[a].SubmitAt != res.Jobs[b].SubmitAt {
-					return res.Jobs[a].SubmitAt < res.Jobs[b].SubmitAt
-				}
-				return res.Jobs[a].ID < res.Jobs[b].ID
-			})
 		}
+		return res, nil
 	}
+	// Migration reshaped a stepped run's job set: workload indices no longer
+	// cover it (injected jobs carry widx -1, withdrawn slots never
+	// completed), so gather the jobs that completed here and order them
+	// deterministically by (SubmitAt, ID).
+	res.Jobs = make([]JobMetrics, 0, s.completed)
+	for i, sj := range s.byRef {
+		if sj.job.State != core.StateCompleted {
+			continue
+		}
+		c := &s.cold[i]
+		res.Jobs = append(res.Jobs, c.meta)
+		res.ReplicaTimelines[c.meta.ID] = c.timeline
+	}
+	sort.Slice(res.Jobs, func(a, b int) bool {
+		if res.Jobs[a].SubmitAt != res.Jobs[b].SubmitAt {
+			return res.Jobs[a].SubmitAt < res.Jobs[b].SubmitAt
+		}
+		return res.Jobs[a].ID < res.Jobs[b].ID
+	})
 	return res, nil
 }
 

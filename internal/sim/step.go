@@ -19,9 +19,16 @@ import (
 // workload, the sequence of StepTo instants, and the mutations applied
 // between them). The event loop itself is untouched — windowing reuses the
 // sharded mode's prepare/extend machinery, and events are still processed in
-// the exact (time, kind, order) sequence of the batch loop. The only
-// arithmetic difference from a batch run is that the utilization integral is
-// accumulated in per-window pieces (same value up to float association).
+// the exact (time, kind, order) sequence of the batch loop. StepTo moves only
+// the clock, so the utilization integral splits only where the allocation
+// really changes (record folds the open term before every change, including
+// those a coordinator's Inject, Preempt or Kick causes): a stepped run without
+// mutations folds exactly the batch run's terms, and its Result equals the
+// batch Result bit for bit at any StepTo instants. Batch Run is itself
+// Begin followed by Finish. One boundary: a capacity event that falls after
+// the last completion but before a StepTo instant still applies (a
+// coordinator may yet inject work), where the batch run skips such trailing
+// events, so CapacityEvents and EndCapacity can then count it.
 
 // MigratedJob is a job in flight between federation members: everything a
 // receiving simulator needs to resume it. Checkpointed jobs carry their
@@ -57,9 +64,10 @@ type QueuedJob struct {
 	Checkpointed bool
 }
 
-// Begin installs the workload for a stepped run. No events are processed
-// until the first StepTo. Sharded execution (Config.Shards) does not apply
-// to stepped runs; the window machinery below is the sequential loop's.
+// Begin installs the workload for a sequential run. No events are processed
+// until the first StepTo or Finish. Sharded execution (Config.Shards) does
+// not apply to stepped runs; the window machinery below is the sequential
+// loop's.
 func (s *Simulator) Begin(w Workload) error {
 	if err := s.cfg.Availability.Validate(); err != nil {
 		return err
@@ -72,7 +80,9 @@ func (s *Simulator) Begin(w Workload) error {
 // StepTo advances the simulation to instant t, processing every submission,
 // capacity event, and heap event strictly before t, then moves the clock to
 // exactly t. Events at t itself belong to the next window, so a coordinator
-// acting at t always observes the state "just before t".
+// acting at t always observes the state "just before t". Moving the clock
+// folds nothing into the utilization integral: the open term runs on until
+// the next allocation change, exactly as in a batch run.
 func (s *Simulator) StepTo(t float64) error {
 	subHi := s.subHi
 	for subHi < len(s.order) && s.w.Jobs[s.order[subHi]].SubmitAt < t {
@@ -87,18 +97,20 @@ func (s *Simulator) StepTo(t float64) error {
 	if err := s.runWindow(); err != nil {
 		return err
 	}
-	s.advanceTo(t)
+	if t > s.now {
+		s.now = t
+	}
 	return nil
 }
 
-// Finish drains the remaining timeline and collects the result, exactly as
-// the tail of a batch run would.
+// Finish drains the remaining timeline and collects the result — the tail
+// of every sequential run, batch or stepped.
 func (s *Simulator) Finish() (Result, error) {
 	s.extend(len(s.order), len(s.cfg.Availability.Events), math.Inf(1), true)
 	if err := s.runWindow(); err != nil {
 		return Result{}, err
 	}
-	return s.collect(s.w)
+	return s.collect(s.w, []*Simulator{s}, s.sched.CapacityStats(), s.sched.Capacity())
 }
 
 // Clock returns the current simulated time in seconds.

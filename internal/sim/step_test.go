@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -11,11 +10,12 @@ import (
 )
 
 // TestSteppedRunMatchesBatch pins the stepping API against the batch loop: a
-// Begin/StepTo…/Finish run with no coordinator mutations must process the
-// identical event sequence — same per-job metrics, timelines, window, and
-// weighted means. Only the utilization integral is compared with a tolerance:
-// stepping splits it at round boundaries, so its value matches up to float
-// association, not bit-for-bit.
+// Begin/StepTo…/Finish run with no coordinator mutations must return the
+// batch Result bit for bit — every field, in retained and streaming mode,
+// for every policy. StepTo only moves the clock, so the utilization
+// integral is split exactly where the batch loop splits it. A 37 s tick
+// divides none of the workload's or the trace's event instants, so every
+// round boundary falls strictly between events.
 func TestSteppedRunMatchesBatch(t *testing.T) {
 	w, err := (workload.Burst{Waves: 4, PerWave: 24, WaveGap: 5000}).Generate(11)
 	if err != nil {
@@ -26,61 +26,47 @@ func TestSteppedRunMatchesBatch(t *testing.T) {
 		{At: 9000, Capacity: 64},
 	}}
 	for _, p := range core.AllPolicies() {
-		cfg := DefaultConfig(p)
-		cfg.Availability = tr
-		batch, err := Run(cfg, w)
-		if err != nil {
-			t.Fatalf("%v batch: %v", p, err)
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Begin(w); err != nil {
-			t.Fatal(err)
-		}
-		for tick := 500.0; !s.Drained(); tick += 500 {
-			if err := s.StepTo(tick); err != nil {
-				t.Fatalf("%v StepTo(%g): %v", p, tick, err)
+		for _, streaming := range []bool{false, true} {
+			cfg := DefaultConfig(p)
+			cfg.Availability = tr
+			cfg.Streaming = streaming
+			batch, err := Run(cfg, w)
+			if err != nil {
+				t.Fatalf("%v batch: %v", p, err)
 			}
-			if s.Clock() != tick {
-				t.Fatalf("%v: clock %g after StepTo(%g)", p, s.Clock(), tick)
+			for _, every := range []float64{37, 500} {
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Begin(w); err != nil {
+					t.Fatal(err)
+				}
+				for tick := every; !s.Drained(); tick += every {
+					if err := s.StepTo(tick); err != nil {
+						t.Fatalf("%v StepTo(%g): %v", p, tick, err)
+					}
+					if s.Clock() != tick {
+						t.Fatalf("%v: clock %g after StepTo(%g)", p, s.Clock(), tick)
+					}
+				}
+				stepped, err := s.Finish()
+				if err != nil {
+					t.Fatalf("%v finish: %v", p, err)
+				}
+				if !reflect.DeepEqual(stepped, batch) {
+					t.Errorf("%v streaming=%v every=%g: stepped Result differs from batch\nstepped %+v\nbatch   %+v",
+						p, streaming, every, summary(stepped), summary(batch))
+				}
 			}
-		}
-		stepped, err := s.Finish()
-		if err != nil {
-			t.Fatalf("%v finish: %v", p, err)
-		}
-		if !reflect.DeepEqual(stepped.Jobs, batch.Jobs) {
-			t.Errorf("%v: per-job metrics diverged", p)
-		}
-		if !reflect.DeepEqual(stepped.ReplicaTimelines, batch.ReplicaTimelines) {
-			t.Errorf("%v: replica timelines diverged", p)
-		}
-		if !reflect.DeepEqual(stepped.UtilTimeline, batch.UtilTimeline) {
-			t.Errorf("%v: utilization timeline diverged", p)
-		}
-		if stepped.TotalTime != batch.TotalTime ||
-			stepped.FirstStart != batch.FirstStart || stepped.LastEnd != batch.LastEnd {
-			t.Errorf("%v: window diverged: [%g,%g] vs [%g,%g]", p,
-				stepped.FirstStart, stepped.LastEnd, batch.FirstStart, batch.LastEnd)
-		}
-		if stepped.WeightedResponse != batch.WeightedResponse ||
-			stepped.WeightedCompletion != batch.WeightedCompletion ||
-			stepped.WeightSum != batch.WeightSum {
-			t.Errorf("%v: weighted means diverged", p)
-		}
-		if stepped.CapacityEvents != batch.CapacityEvents ||
-			stepped.ForcedShrinks != batch.ForcedShrinks ||
-			stepped.Requeues != batch.Requeues {
-			t.Errorf("%v: resilience counters diverged: %d/%d/%d vs %d/%d/%d", p,
-				stepped.CapacityEvents, stepped.ForcedShrinks, stepped.Requeues,
-				batch.CapacityEvents, batch.ForcedShrinks, batch.Requeues)
-		}
-		if math.Abs(stepped.Utilization-batch.Utilization) > 1e-9 {
-			t.Errorf("%v: utilization %g vs batch %g", p, stepped.Utilization, batch.Utilization)
 		}
 	}
+}
+
+// summary strips a Result's per-job records for a readable failure message.
+func summary(r Result) Result {
+	r.Jobs, r.UtilTimeline, r.ReplicaTimelines = nil, nil, nil
+	return r
 }
 
 // TestWithdrawInjectRoundTrip moves a queued job between two steppers and
